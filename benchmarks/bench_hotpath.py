@@ -18,7 +18,12 @@ The exploration loop's solver-facing costs, measured head-to-head:
   per-branch unmemoized sweep, plus a solves/s regression gate;
 * **stream-vs-batch findings/s** — the coverage-guided streaming
   pipeline must find the same faults as the batch engine over the same
-  seeds, at a competitive rate.
+  seeds, at a competitive rate;
+* **checkpoint captures/s and restores/s** — a checkpoint of the
+  2000-prefix fig2 router is a fork (per-table dict copies sharing the
+  routes), three orders of magnitude above what a pickle round trip of
+  the same state manages; the gate fails a change that puts
+  serialization back on the clone path.
 
 The regression gates compare measured throughput against checked-in
 baselines (``baseline_hotpath.json``) recorded on the development
@@ -36,6 +41,7 @@ import time
 import pytest
 
 from baseline_gate import WRITE_BASELINE, gate_floor, load_baseline, write_baseline
+from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic import ExplorationBudget
 from repro.concolic.expr import (
     Const,
@@ -50,6 +56,7 @@ from repro.concolic.solver.cache import canonical_query_key, query_key_tail
 from repro.concolic.solver.intervals import propagate_memo_disabled
 from repro.concolic.tracer import BranchSite
 from repro.core import get_scenario
+from repro.core.isolation import restore_isolated
 from repro.parallel import ParallelExplorer, StreamingExplorer
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -358,3 +365,61 @@ def test_stream_vs_batch_findings_rate(benchmark, paper_rows):
         f"({len(report.findings())} findings)",
         note="smoke" if SMOKE else "",
     )
+
+
+CHECKPOINT_ROUNDS = 50 if SMOKE else 200
+
+
+def measure_checkpoint_rates(router, rounds: int):
+    """(captures/s, restores/s) of in-process checkpoints of ``router``."""
+    started = time.perf_counter()
+    for _ in range(rounds):
+        checkpoint = Checkpoint.capture(router, "gate")
+    capture_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    for _ in range(rounds):
+        clone, _env = restore_isolated(checkpoint)
+    restore_seconds = time.perf_counter() - started
+    assert clone.table_size() == router.table_size()
+    return rounds / capture_seconds, rounds / restore_seconds
+
+
+@pytest.mark.benchmark(group="hotpath")
+def test_checkpoint_fork_regression_gate(benchmark, paper_rows):
+    """Fail CI when capture or restore of a 2000-prefix router regresses >30%."""
+    scenario = get_scenario("fig2").build(
+        filter_mode="erroneous", prefix_count=2000, update_count=200
+    )
+    scenario.converge()
+    router = scenario.provider
+    measure_checkpoint_rates(router, 5)  # warm allocator and imports
+    captures, restores = benchmark.pedantic(
+        measure_checkpoint_rates, args=(router, CHECKPOINT_ROUNDS),
+        rounds=3, iterations=1,
+    )
+
+    if WRITE_BASELINE:
+        write_baseline(
+            checkpoint_captures_per_sec=captures,
+            checkpoint_restores_per_sec=restores,
+        )
+        pytest.skip(
+            f"baseline rewritten: {captures:.0f} captures/s, {restores:.0f} restores/s"
+        )
+
+    for key, measured in (
+        ("checkpoint_captures_per_sec", captures),
+        ("checkpoint_restores_per_sec", restores),
+    ):
+        recorded = load_baseline().get(key, 0.0)
+        floor = gate_floor(key)
+        paper_rows.add(
+            "HOTPATH", f"{key} ({router.table_size()}-route router) vs floor",
+            f">= {floor:.0f} (baseline {recorded:.0f} scaled, 30% tolerance)",
+            f"{measured:.0f}",
+            note="smoke" if SMOKE else "",
+        )
+        assert measured >= floor, (
+            f"{key} {measured:.0f}/s regressed below floor {floor:.0f}/s "
+            f"(baseline {recorded:.0f}/s): is serialization back on the clone path?"
+        )

@@ -82,7 +82,9 @@ class AsPath:
     """An AS_PATH: a sequence of segments.
 
     Immutable in style — mutating operations return new paths — so routes
-    can share path objects safely across RIBs and clones.
+    can share path objects safely across RIBs and clones.  A path is never
+    mutated once it is in a RIB: checkpoint clones share it with the live
+    node (:meth:`repro.bgp.rib.LocRib.fork`).
     """
 
     __slots__ = ("segments",)
@@ -182,7 +184,12 @@ class AsPath:
 
 @dataclass
 class PathAttributes:
-    """The parsed attribute set of one route/UPDATE."""
+    """The parsed attribute set of one route/UPDATE.
+
+    Assigned to only while being decoded; never mutated once a route
+    carrying it is in a RIB (filters build a new set, others ``copy()``
+    first): checkpoint clones share it with the live node.
+    """
 
     origin: IntLike = ORIGIN_INCOMPLETE
     as_path: AsPath = field(default_factory=AsPath)

@@ -35,7 +35,7 @@ discovers leaks by exploring the branches this configuration induces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bgp.policy import (
@@ -154,6 +154,19 @@ class RouterConfig:
     def __post_init__(self) -> None:
         self.filters.setdefault("accept-all", ACCEPT_ALL)
         self.filters.setdefault("reject-all", REJECT_ALL)
+
+    def fork(self) -> "RouterConfig":
+        """A private copy sharing only the frozen filters and prefix sets."""
+        return replace(
+            self,
+            networks=list(self.networks),
+            prefix_sets=dict(self.prefix_sets),
+            filters=dict(self.filters),
+            neighbors={
+                peer_id: replace(neighbor)
+                for peer_id, neighbor in self.neighbors.items()
+            },
+        )
 
     def filter_named(self, name: str) -> FilterProgram:
         if name not in self.filters:

@@ -1,9 +1,17 @@
 """Routing Information Bases: Adj-RIB-In, Loc-RIB, Adj-RIB-Out (RFC 4271 3.2).
 
-The Loc-RIB is backed by a prefix trie so the DiCE fault checkers can ask
-the questions hijack detection needs: "which installed route does this
-exploratory announcement override?" (exact match) and "which installed
-routes does it cover or puncture?" (covering / covered-by queries).
+The Loc-RIB can index itself with a prefix trie so the DiCE fault checkers
+can ask the questions hijack detection needs: "which installed route does
+this exploratory announcement override?" (exact match) and "which installed
+routes does it cover or puncture?" (covering / covered-by queries).  The
+trie is derived data, built by the first such query.
+
+Every RIB offers ``fork()``: a private copy of its tables that *shares*
+the :class:`Route` values.  That is what a checkpoint clone is made of
+(:meth:`repro.bgp.router.BgpRouter.fork_state`), and it is sound because
+a route is a value: nothing mutates a :class:`Route`, its
+:class:`~repro.bgp.attributes.PathAttributes` or its ``AsPath`` once it
+is in a RIB — changes build a new route and replace the table entry.
 
 Routes learned during exploration may carry symbolic attribute values;
 RIB keys are always the *concrete* canonical prefix (symbolic prefixes
@@ -33,9 +41,15 @@ class RouteSource(enum.Enum):
     STATIC = "static"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Route:
-    """One candidate path to a prefix."""
+    """One candidate path to a prefix.
+
+    A value: never mutated once it is in a RIB (rebuild with
+    :meth:`with_attributes` / ``dataclasses.replace``).  Checkpoint
+    clones share route objects with the live node and with each other,
+    so clone isolation rests on this — hence ``frozen``.
+    """
 
     prefix: Prefix
     attributes: PathAttributes
@@ -82,11 +96,49 @@ class RibChange:
     new: Optional[Route]
 
 
-class AdjRibIn:
-    """Per-peer incoming routes, post-import-policy."""
+class _PerPeerRib:
+    """``peer -> prefix -> route`` tables: the shape both Adj-RIBs share."""
 
     def __init__(self) -> None:
         self._by_peer: Dict[str, Dict[Prefix, Route]] = {}
+
+    def fork(self):
+        """A private copy of the tables that shares the route values."""
+        rib = type(self)()
+        rib._by_peer = {peer: dict(table) for peer, table in self._by_peer.items()}
+        return rib
+
+    def peer_prefixes(self, peer: str) -> List[Prefix]:
+        return list(self._by_peer.get(peer, {}))
+
+    def route_count(self) -> int:
+        return sum(len(table) for table in self._by_peer.values())
+
+    # -- checkpoint delta decomposition (repro.checkpoint.delta) ---------------
+
+    def delta_items(self) -> Dict[Tuple[str, Prefix], Route]:
+        """The tables as independently shippable ``(peer, prefix) -> route`` items.
+
+        Iteration order is peer insertion order then per-peer prefix
+        insertion order, so a restore rebuilds the same ordering.  Peers
+        whose table is empty are canonicalized away.
+        """
+        return {
+            (peer, prefix): route
+            for peer, table in self._by_peer.items()
+            for prefix, route in table.items()
+        }
+
+    @classmethod
+    def from_delta_items(cls, items: Dict[Tuple[str, Prefix], Route]):
+        rib = cls()
+        for (peer, prefix), route in items.items():
+            rib._by_peer.setdefault(peer, {})[prefix] = route
+        return rib
+
+
+class AdjRibIn(_PerPeerRib):
+    """Per-peer incoming routes, post-import-policy."""
 
     def install(self, peer: str, route: Route) -> Optional[Route]:
         """Store ``route``; returns the entry it replaced, if any."""
@@ -120,54 +172,48 @@ class AdjRibIn:
                 found.append(route)
         return found
 
-    def peer_prefixes(self, peer: str) -> List[Prefix]:
-        return list(self._by_peer.get(peer, {}))
-
     def peers(self) -> List[str]:
         return list(self._by_peer)
-
-    def route_count(self) -> int:
-        return sum(len(table) for table in self._by_peer.values())
 
     def __len__(self) -> int:
         return self.route_count()
 
-    # -- checkpoint delta decomposition (repro.checkpoint.delta) ---------------
-
-    def delta_items(self) -> Dict[Tuple[str, Prefix], Route]:
-        """The table as independently shippable ``(peer, prefix) -> route`` items.
-
-        Iteration order is peer insertion order then per-peer prefix
-        insertion order, so a restore rebuilds the same ordering.  Peers
-        whose table is empty are canonicalized away.
-        """
-        return {
-            (peer, prefix): route
-            for peer, table in self._by_peer.items()
-            for prefix, route in table.items()
-        }
-
-    @classmethod
-    def from_delta_items(
-        cls, items: Dict[Tuple[str, Prefix], Route]
-    ) -> "AdjRibIn":
-        rib = cls()
-        for (peer, prefix), route in items.items():
-            rib._by_peer.setdefault(peer, {})[prefix] = route
-        return rib
-
 
 class LocRib:
-    """The router's chosen best routes, trie-indexed for prefix queries."""
+    """The router's chosen best routes, trie-indexed on demand.
+
+    The trie is a derived index over ``_routes``: built by the first
+    :meth:`covering` / :meth:`covered_by` / :meth:`longest_match`, kept
+    in step by :meth:`install` / :meth:`withdraw` only once built, never
+    pickled and never copied by :meth:`fork` — the update path and the
+    checkpoint path pay for it only if someone queries it.
+    """
 
     def __init__(self) -> None:
         self._routes: Dict[Prefix, Route] = {}
-        self._trie = PrefixTrie()
+        self._trie: Optional[PrefixTrie] = None
+
+    def _index(self) -> PrefixTrie:
+        if self._trie is None:
+            self._trie = PrefixTrie(self._routes.items())
+        return self._trie
+
+    def __getstate__(self) -> dict:
+        return {"_routes": self._routes}
+
+    def __setstate__(self, state: dict) -> None:
+        self._routes = state["_routes"]
+        self._trie = None
+
+    def fork(self) -> "LocRib":
+        """A private copy of the table that shares the route values."""
+        return self.from_delta_items(self._routes)
 
     def install(self, route: Route) -> RibChange:
         previous = self._routes.get(route.prefix)
         self._routes[route.prefix] = route
-        self._trie.insert(route.prefix, route)
+        if self._trie is not None:
+            self._trie.insert(route.prefix, route)
         kind = ChangeKind.REPLACE if previous is not None else ChangeKind.INSTALL
         return RibChange(kind, route.prefix, previous, route)
 
@@ -175,14 +221,15 @@ class LocRib:
         previous = self._routes.pop(prefix, None)
         if previous is None:
             return None
-        self._trie.remove(prefix)
+        if self._trie is not None:
+            self._trie.remove(prefix)
         return RibChange(ChangeKind.WITHDRAW, prefix, previous, None)
 
     def get(self, prefix: Prefix) -> Optional[Route]:
         return self._routes.get(prefix)
 
     def longest_match(self, address: int) -> Optional[Route]:
-        hit = self._trie.longest_match(address)
+        hit = self._index().longest_match(address)
         if hit is None:
             return None
         __, route = hit
@@ -190,11 +237,11 @@ class LocRib:
 
     def covering(self, prefix: Prefix) -> List[Tuple[Prefix, Route]]:
         """Installed routes at or above ``prefix`` (would be punctured by it)."""
-        return list(self._trie.covering(prefix))  # type: ignore[return-value]
+        return list(self._index().covering(prefix))  # type: ignore[return-value]
 
     def covered_by(self, prefix: Prefix) -> List[Tuple[Prefix, Route]]:
         """Installed routes at or below ``prefix`` (would be overridden)."""
-        return list(self._trie.covered_by(prefix))  # type: ignore[return-value]
+        return list(self._index().covered_by(prefix))  # type: ignore[return-value]
 
     def origin_of(self, prefix: Prefix) -> Optional[int]:
         """Concrete origin AS of the installed exact route, if any."""
@@ -219,27 +266,18 @@ class LocRib:
     # -- checkpoint delta decomposition (repro.checkpoint.delta) ---------------
 
     def delta_items(self) -> Dict[Prefix, Route]:
-        """The route table as independently shippable items.
-
-        The trie is a derived index — :meth:`from_delta_items` rebuilds
-        it from the routes, so it never travels in a checkpoint delta.
-        """
+        """The route table as independently shippable items."""
         return dict(self._routes)
 
     @classmethod
     def from_delta_items(cls, items: Dict[Prefix, Route]) -> "LocRib":
         rib = cls()
-        for prefix, route in items.items():
-            rib._routes[prefix] = route
-            rib._trie.insert(prefix, route)
+        rib._routes = dict(items)
         return rib
 
 
-class AdjRibOut:
+class AdjRibOut(_PerPeerRib):
     """What has been advertised to each peer (for withdraw-on-change)."""
-
-    def __init__(self) -> None:
-        self._by_peer: Dict[str, Dict[Prefix, Route]] = {}
 
     def record(self, peer: str, route: Route) -> None:
         self._by_peer.setdefault(peer, {})[route.prefix] = route
@@ -252,28 +290,3 @@ class AdjRibOut:
 
     def drop_peer(self, peer: str) -> None:
         self._by_peer.pop(peer, None)
-
-    def peer_prefixes(self, peer: str) -> List[Prefix]:
-        return list(self._by_peer.get(peer, {}))
-
-    def route_count(self) -> int:
-        return sum(len(table) for table in self._by_peer.values())
-
-    # -- checkpoint delta decomposition (repro.checkpoint.delta) ---------------
-
-    def delta_items(self) -> Dict[Tuple[str, Prefix], Route]:
-        """Advertisement state as ``(peer, prefix) -> route`` items."""
-        return {
-            (peer, prefix): route
-            for peer, table in self._by_peer.items()
-            for prefix, route in table.items()
-        }
-
-    @classmethod
-    def from_delta_items(
-        cls, items: Dict[Tuple[str, Prefix], Route]
-    ) -> "AdjRibOut":
-        rib = cls()
-        for (peer, prefix), route in items.items():
-            rib._by_peer.setdefault(peer, {})[prefix] = route
-        return rib

@@ -16,8 +16,10 @@ DiCE integration (paper section 3.2):
   observes the exploration.
 
 The router is :class:`Checkpointable`: logical state (config, RIBs,
-sessions, counters) pickles into segment-paged checkpoints; runtime state
-(the environment) is reinjected on restore.
+sessions, counters) is forked into checkpoints by structural sharing
+(:meth:`BgpRouter.fork_state`) and serialized into segment-paged images
+for accounting and shipping; runtime state (the environment) is
+reinjected on restore.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.util.errors import ConfigError, WireFormatError
 from repro.util.ip import Prefix
 from repro.util.stats import CounterRegistry
 
+import hashlib
 import pickle
 
 #: LOCAL_PREF given to locally originated (static) routes so they win the
@@ -66,6 +69,9 @@ def _bucketized(label: str, items: list) -> list:
     The bucket index depends only on the entry's key, so an insert or
     update relocates nothing: exactly the touched bucket re-serializes
     differently, which is what makes the page-sharing numbers meaningful.
+    It is a digest of the key's ``repr`` (ints and peer strings), not the
+    builtin ``hash`` — that one is salted per process for ``str``, and
+    page sets from two processes must be comparable.
     """
     if not items:
         return [(f"{label}/empty", b"")]
@@ -75,7 +81,8 @@ def _bucketized(label: str, items: list) -> list:
     bucket_count = 1 << (target - 1).bit_length()
     buckets: Dict[int, list] = {}
     for key, value in items:
-        index = hash(key) % bucket_count
+        digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
+        index = int.from_bytes(digest, "big") % bucket_count
         buckets.setdefault(index, []).append((key, value))
     protocol = pickle.HIGHEST_PROTOCOL
     segments = []
@@ -504,6 +511,31 @@ class BgpRouter(SimNode):
         if captured:
             segments["exploration_buffers"] = pickle.dumps(captured, protocol)
         return segments
+
+    @staticmethod
+    def fork_state(state: dict) -> dict:
+        """A private copy of a ``checkpoint_state()`` dict: the fork.
+
+        RIB tables are copied per peer at C speed and share their
+        :class:`Route` values (never mutated once in a RIB); the small
+        mutable parts are copied structurally.  Every shared ``str`` /
+        ``Route`` keeps its identity, so a fork serializes — whole or per
+        snapshot segment — to exactly the bytes the original does.
+        """
+        config = state["config"].fork()
+        return {
+            "node_id": state["node_id"],
+            "config": config,
+            "sessions": {
+                peer_id: replace(session, peer=config.neighbors[peer_id])
+                for peer_id, session in state["sessions"].items()
+            },
+            "adj_rib_in": state["adj_rib_in"].fork(),
+            "loc_rib": state["loc_rib"].fork(),
+            "adj_rib_out": state["adj_rib_out"].fork(),
+            "static_routes": dict(state["static_routes"]),
+            "counters": state["counters"].fork(),
+        }
 
     @classmethod
     def restore_from_state(cls, state: dict, env: Environment) -> "BgpRouter":

@@ -1,8 +1,10 @@
 """Segment-structured checkpoints and incremental (delta) shipping.
 
-The batch engine ships one full checkpoint pickle inside *every* job —
-fine for a handful of seeds, ruinous for a large RIB streamed to
-long-lived workers.  This module makes checkpoints *diffable*:
+Inside one process a :class:`Checkpoint` is a resident template cloned
+by structural sharing and never serialized.  Across processes the batch
+engine ships its full pickle inside *every* job — fine for a handful of
+seeds, ruinous for a large RIB streamed to long-lived workers.  This
+module makes checkpoints *diffable*:
 
 * :class:`CheckpointImage` captures a node's state as independently
   pickled, stably named **segments** (one per ``checkpoint_state()``
@@ -21,8 +23,9 @@ long-lived workers.  This module makes checkpoints *diffable*:
 
 The streaming pipeline (:mod:`repro.parallel.stream`) ships a full image
 to each worker once per process lifetime and a delta per re-checkpoint
-epoch; workers rebuild a classic :class:`Checkpoint` locally via
-:meth:`CheckpointImage.as_checkpoint` for the clone-per-execution loop.
+epoch; workers assemble the state once per received epoch and hand it to
+a classic :class:`Checkpoint` (:meth:`CheckpointImage.as_checkpoint`),
+whose clone-per-execution loop then forks it like any local checkpoint.
 """
 
 from __future__ import annotations
@@ -290,26 +293,20 @@ class CheckpointImage:
     def as_checkpoint(self) -> Checkpoint:
         """A classic :class:`Checkpoint` over the same state.
 
-        Workers rebuild this once per received epoch: the clone-per-
-        execution loop unpickles ``state_bytes`` for every exploration
-        input, and the monolithic pickle is the cheapest thing to
-        unpickle repeatedly.  The one-time assembly cost stays local to
-        the worker — nothing here crosses a process boundary.
+        Workers rebuild this once per received epoch: the assembled state
+        goes straight in as the checkpoint's template, which the clone-
+        per-execution loop forks for every exploration input.  The one-
+        time assembly cost stays local to the worker — nothing here
+        crosses a process boundary.
         """
-        state = assemble_state(self.segments)
-        try:
-            state_bytes = pickle.dumps(state, _PROTOCOL)
-        except Exception as exc:  # pragma: no cover - segments were picklable
-            raise CheckpointError(
-                f"checkpoint image {self.name!r} cannot be reassembled: {exc}"
-            ) from exc
-        return Checkpoint(
-            name=self.name,
-            state_bytes=state_bytes,
+        return Checkpoint.from_state(
+            self.name,
+            self.node_type,
+            assemble_state(self.segments),
             pages=self.pages,
-            node_type=self.node_type,
             node_time=self.node_time,
             sequence=self.sequence,
+            page_size=self.page_size,
         )
 
     def dirty_segments_since(self, base: "CheckpointImage") -> int:

@@ -28,10 +28,10 @@ from repro.util.stats import RunningStats
 class CloneRecord:
     """Bookkeeping for one live clone.
 
-    ``pages`` is measured lazily: hashing a clone's whole image costs
-    real CPU per clone, and callers that only need the restored node
-    (the streaming pipeline's clone-per-execution churn) should not pay
-    it.  The first access snapshots the node *at that moment* and
+    ``pages`` is measured lazily: serializing and hashing a clone's
+    whole image costs orders of magnitude more than forking the clone,
+    and callers that only need the restored node (the streaming
+    pipeline's clone-per-execution churn) should not pay it.  The first access snapshots the node *at that moment* and
     registers the image with the manager's page store; accounting
     callers (``memory_report``, ``refresh``) therefore see exactly the
     numbers they ask for, and node-only callers pay nothing.
@@ -165,10 +165,11 @@ class CheckpointManager:
         name = name or f"{checkpoint.name}/clone-{next(self._sequence)}"
         if name in self.clones:
             raise CheckpointError(f"clone name {name!r} already in use")
-        # Pages are NOT snapshotted here: hashing the image per clone is
-        # the dominant clone cost, and callers that only need the node
-        # (streaming workers churning clones per job) never ask for it.
-        # The first ``record.pages`` access measures and registers.
+        # Pages are NOT snapshotted here: the clone is a fork that
+        # serializes nothing, measuring its image serializes all of it,
+        # and callers that only need the node (streaming workers churning
+        # clones per job) never ask.  The first ``record.pages`` access
+        # measures and registers.
         record = CloneRecord(
             name, node, checkpoint.name, env, self.page_size, self.store
         )

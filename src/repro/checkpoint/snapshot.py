@@ -5,33 +5,45 @@ creating many checkpoints with a small memory footprint thanks to
 copy-on-write, and isolates the child "by closing the open sockets"
 (section 3.2).  Our equivalent:
 
-* a node separates *state* (picklable: RIBs, config, session bookkeeping)
-  from *runtime* (environment, live channels) and implements the
+* a node separates *state* (RIBs, config, session bookkeeping) from
+  *runtime* (environment, live channels) and implements the
   :class:`Checkpointable` protocol;
-* :meth:`Checkpoint.capture` pickles the state — the fork moment — and
-  records the state's segment layout for page-level sharing accounting;
-* cloning restores the pickle into a fresh node wired to an *isolated*
-  environment, which is exactly "closing the open sockets".
+* :meth:`Checkpoint.capture` — the fork moment — freezes a private copy
+  of the state as a resident *template*.  A node that says how to share
+  (``fork_state``) is copied structurally, sharing its immutable values
+  the way forked processes share unwritten pages; any other node is
+  copied through its pickle;
+* cloning hands a fresh copy of the template to a new node wired to an
+  *isolated* environment, which is exactly "closing the open sockets".
 
-Page accounting uses :class:`repro.util.pages.PageSet` per serialized
-segment, reproducing the paper's unique-page metrics (section 4.1).
+The pickle of a forked state and the page image
+(:class:`repro.util.pages.PageSet` per serialized segment, the paper's
+unique-page metrics of section 4.1) are derived from the template on
+first access: only a checkpoint that crosses a process boundary or is
+asked for its accounting pays for serialization.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol, runtime_checkable
 
-from repro.concolic.env import Environment
+from repro.concolic.env import Environment, ExplorationEnvironment
 from repro.util.errors import CheckpointError
 from repro.util.pages import PAGE_SIZE, PageSet
 
 
 @runtime_checkable
 class Checkpointable(Protocol):
-    """What a node must provide to participate in checkpointing."""
+    """What a node must provide to participate in checkpointing.
+
+    One more hook is optional, and looked up with ``getattr`` so nodes
+    without it still satisfy the protocol: ``fork_state(state) -> state``
+    returns a private copy of a ``checkpoint_state()`` value that shares
+    only immutable parts with it.  A node type that has it is captured
+    and cloned by forking; one that has not goes through its pickle.
+    """
 
     def checkpoint_state(self) -> object:
         """A picklable object capturing the node's entire logical state."""
@@ -49,23 +61,50 @@ class Checkpointable(Protocol):
         """Rebuild a node from ``checkpoint_state()`` output onto ``env``."""
 
 
-@dataclass
 class Checkpoint:
-    """A captured node state: the pickle plus its page image.
+    """A captured node state: a frozen template, or the pickle of one.
 
     ``node_time`` is the *node's* clock (simulated seconds) at the fork
     moment; clones get their virtual clock frozen there so explored code
     observes a consistent time.  ``created_at`` is host wall time, used
     only for bookkeeping.
+
+    Build one with :meth:`capture` or :meth:`from_state`; the constructor
+    takes whichever form of the state is at hand (``template`` for a node
+    type with ``fork_state``, ``state_bytes`` otherwise or on arrival
+    from another process).
     """
 
-    name: str
-    state_bytes: bytes
-    pages: PageSet
-    node_type: type
-    node_time: float = 0.0
-    created_at: float = field(default_factory=time.monotonic)
-    sequence: int = 0
+    def __init__(
+        self,
+        name: str,
+        node_type: type,
+        *,
+        template: object = None,
+        state_bytes: Optional[bytes] = None,
+        pages: Optional[PageSet] = None,
+        node_time: float = 0.0,
+        sequence: int = 0,
+        page_size: int = PAGE_SIZE,
+    ):
+        if (template is None) == (state_bytes is None):
+            raise CheckpointError(f"{name!r}: give one of template / state_bytes")
+        self.name = name
+        self.node_type = node_type
+        self.node_time = node_time
+        self.sequence = sequence
+        self.page_size = page_size
+        self.created_at = time.monotonic()
+        self._template = template
+        self._state_bytes = state_bytes
+        self._pages = pages
+
+    @classmethod
+    def from_state(cls, name: str, node_type: type, state: object, **meta) -> "Checkpoint":
+        """Freeze ``state``, which the caller hands over for good."""
+        if hasattr(node_type, "fork_state"):
+            return cls(name, node_type, template=state, **meta)
+        return cls(name, node_type, state_bytes=_dumps(name, state), **meta)
 
     @classmethod
     def capture(
@@ -76,14 +115,30 @@ class Checkpoint:
         sequence: int = 0,
     ) -> "Checkpoint":
         """The fork moment: snapshot ``node``'s state."""
-        try:
-            state_bytes = pickle.dumps(node.checkpoint_state(), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise CheckpointError(f"state of {name!r} is not picklable: {exc}") from exc
-        segments = node.snapshot_segments()
-        pages = PageSet.from_segments(segments.values(), page_size)
-        node_time = float(getattr(node, "now", 0.0))
-        return cls(name, state_bytes, pages, type(node), node_time, sequence=sequence)
+        state = node.checkpoint_state()
+        fork = getattr(node, "fork_state", None)
+        return cls.from_state(
+            name,
+            type(node),
+            state if fork is None else fork(state),
+            node_time=float(getattr(node, "now", 0.0)),
+            sequence=sequence,
+            page_size=page_size,
+        )
+
+    def _clone_state(self) -> object:
+        """A private state for one clone."""
+        fork = getattr(self.node_type, "fork_state", None)
+        if fork is None or self._template is None:
+            try:
+                state = pickle.loads(self.state_bytes)
+            except Exception as exc:
+                raise CheckpointError(f"checkpoint {self.name!r} is corrupt: {exc}") from exc
+            if fork is None:
+                return state
+            # Arrived as bytes (a batch-engine job): thaw once, fork after.
+            self._template = state
+        return fork(self._template)
 
     def restore(self, env: Environment) -> Checkpointable:
         """Materialize a clone of the captured state onto ``env``.
@@ -92,11 +147,39 @@ class Checkpoint:
         is expected to be an isolated one, mirroring the paper's closing of
         inherited sockets in the forked child.
         """
-        try:
-            state = pickle.loads(self.state_bytes)
-        except Exception as exc:
-            raise CheckpointError(f"checkpoint {self.name!r} is corrupt: {exc}") from exc
-        return self.node_type.restore_from_state(state, env)
+        return self.node_type.restore_from_state(self._clone_state(), env)
+
+    @property
+    def state_bytes(self) -> bytes:
+        """The state's pickle: what crosses a process boundary."""
+        if self._state_bytes is None:
+            self._state_bytes = _dumps(self.name, self._template)
+        return self._state_bytes
+
+    @property
+    def pages(self) -> PageSet:
+        """The page image a clone of this checkpoint starts from.
+
+        Equal to a captured *live* node's own image at the fork moment,
+        since a fresh clone serializes segment for segment like it.  Not
+        so for a captured clone: its environment's message buffers are a
+        segment of its image but not of its state.
+        """
+        if self._pages is None:
+            # Accounting, not a clone anyone runs: not a ``restore`` call.
+            clone = self.node_type.restore_from_state(
+                self._clone_state(),
+                ExplorationEnvironment(checkpoint_time=self.node_time),
+            )
+            self._pages = snapshot_pages(clone, self.page_size)
+        return self._pages
+
+    def __getstate__(self) -> dict:
+        # Another process gets the bytes and the accounting, never the
+        # template: it thaws its own on first restore.
+        state = dict(self.__dict__)
+        state.update(_template=None, _state_bytes=self.state_bytes, _pages=self.pages)
+        return state
 
     @property
     def size_bytes(self) -> int:
@@ -105,6 +188,13 @@ class Checkpoint:
     @property
     def page_count(self) -> int:
         return len(self.pages)
+
+
+def _dumps(name: str, state: object) -> bytes:
+    try:
+        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        raise CheckpointError(f"state of {name!r} is not picklable: {exc}") from exc
 
 
 def snapshot_pages(

@@ -193,7 +193,6 @@ class IsolatedFabric:
             for edge in graph.edges:
                 self._latency_table[(edge.a, edge.b)] = edge.latency
                 self._latency_table[(edge.b, edge.a)] = edge.latency
-        self.checkpoints: Dict[str, Checkpoint] = {}
         self.clones: Dict[str, BgpRouter] = {}
         self.envs: Dict[str, ExplorationEnvironment] = {}
         #: Cumulative across every wave this fabric ran; each
@@ -207,9 +206,12 @@ class IsolatedFabric:
         #: crossing a failed link are silently dropped (the isolated
         #: analogue of a cut fibre), counted in ``dropped_link_down``.
         self.failed_links: Set[FrozenSet[str]] = set()
+        #: Each clone's frozen clock origin (the checkpoint itself is forked
+        #: once and let go, not pinned for the fabric's whole life).
+        self._checkpoint_times: Dict[str, float] = {}
         for node_id, router in routers.items():
             checkpoint = Checkpoint.capture(router, f"fed-{node_id}")
-            self.checkpoints[node_id] = checkpoint
+            self._checkpoint_times[node_id] = checkpoint.node_time
             env = ExplorationEnvironment(checkpoint_time=checkpoint.node_time)
             clone = checkpoint.restore(env)
             if not isinstance(clone, BgpRouter):
@@ -218,10 +220,6 @@ class IsolatedFabric:
                 )
             self.clones[node_id] = clone
             self.envs[node_id] = env
-        self._checkpoint_times = {
-            node_id: checkpoint.node_time
-            for node_id, checkpoint in self.checkpoints.items()
-        }
         #: The wave simulator currently driving deliveries (set per
         #: :meth:`propagate` call; batched delivery records re-enter
         #: :meth:`_schedule_outbound` through it).
@@ -379,7 +377,7 @@ class IsolatedFabric:
                 data: bytes = payload, this_hop: int = hop,
             ) -> None:
                 env = self.envs[dst]
-                lag = (self.checkpoints[dst].node_time + sim.now) - env.now()
+                lag = (self._checkpoint_times[dst] + sim.now) - env.now()
                 if lag > 0:
                     env.advance(lag)
                 self._clone_versions[dst] += 1

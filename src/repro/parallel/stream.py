@@ -511,9 +511,9 @@ class _WorkerState:
                     f"job {job.index} references node {job.node!r} epoch "
                     f"{job.epoch}, but no image for it is resident"
                 )
-            # Rebuilt once per (node, epoch) per worker: the clone-per-
-            # execution loop unpickles state_bytes repeatedly, so the
-            # monolithic form is worth the one-time local assembly.
+            # Assembled once per (node, epoch) per worker: the clone-per-
+            # execution loop forks the checkpoint's resident template, so
+            # no segment is unpickled again after this.
             checkpoint = image.as_checkpoint()
             self.checkpoints[job.image_key] = checkpoint
         return run_session_job(

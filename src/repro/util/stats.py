@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 
@@ -62,6 +62,14 @@ class CounterRegistry:
 
     def reset(self) -> None:
         self._counters.clear()
+
+    def fork(self) -> "CounterRegistry":
+        """An independent registry holding the same values."""
+        registry = CounterRegistry()
+        registry._counters = {
+            name: replace(counter) for name, counter in self._counters.items()
+        }
+        return registry
 
 
 class RunningStats:

@@ -1,6 +1,10 @@
 """Tests for the RIBs and the decision process."""
 
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp.attributes import (
     AsPath,
@@ -18,7 +22,7 @@ from repro.bgp.rib import (
     Route,
     RouteSource,
 )
-from repro.util.ip import Prefix, ip_to_int
+from repro.util.ip import Prefix, PrefixTrie, ip_to_int
 
 P = Prefix.parse
 
@@ -218,3 +222,123 @@ class TestDecisionProcess:
         assert not routes_equal(route(med=None), route(med=5))
         # Missing MED compares equal to explicit zero.
         assert routes_equal(route(med=None), route(med=0))
+
+
+# -- the Loc-RIB's prefix index is lazy, derived, and never travels -------------
+
+#: A small prefix space with nesting, so covering/covered-by have answers.
+_POOL = [
+    P(text) for text in (
+        "0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.128/25",
+        "10.2.0.0/16", "11.0.0.0/8", "192.168.0.0/16", "192.168.7.0/24",
+    )
+]
+_prefix = st.sampled_from(_POOL)
+_mutation = st.one_of(
+    st.tuples(st.just("install"), _prefix, st.integers(1, 65000)),
+    st.tuples(st.just("withdraw"), _prefix, st.just(0)),
+)
+
+
+def mutate(rib, table, steps):
+    """Apply ``steps`` to the Loc-RIB and to the plain-dict model."""
+    for kind, prefix, asn in steps:
+        if kind == "install":
+            entry = route(prefix=str(prefix), path=(asn,))
+            rib.install(entry)
+            table[prefix] = entry
+        else:
+            rib.withdraw(prefix)
+            table.pop(prefix, None)
+
+
+def assert_index_matches(rib, table):
+    """Every index query equals an eagerly built trie over the same routes."""
+    eager = PrefixTrie(table.items())
+    for prefix in _POOL:
+        assert rib.covering(prefix) == list(eager.covering(prefix))
+        assert rib.covered_by(prefix) == list(eager.covered_by(prefix))
+        hit = eager.longest_match(prefix.network | 1)
+        assert rib.longest_match(prefix.network | 1) == (hit and hit[1])
+    assert dict(rib.items()) == table
+
+
+class TestLazyLocRibIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_mutation, max_size=12), st.lists(_mutation, max_size=12))
+    def test_first_query_before_between_or_after_mutations(self, first, second):
+        for query_at in (0, 1, 2):
+            rib, table = LocRib(), {}
+            if query_at == 0:
+                assert_index_matches(rib, table)
+            mutate(rib, table, first)
+            if query_at == 1:
+                assert_index_matches(rib, table)
+            mutate(rib, table, second)
+            assert_index_matches(rib, table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_mutation, max_size=12), st.lists(_mutation, max_size=8),
+           st.booleans())
+    def test_index_survives_pickle_and_delta_items(self, first, second, built):
+        rib, table = LocRib(), {}
+        mutate(rib, table, first)
+        if built:
+            rib.covering(_POOL[0])
+        blob = pickle.dumps(rib, pickle.HIGHEST_PROTOCOL)
+        assert b"_TrieNode" not in blob and b"PrefixTrie" not in blob
+        for copy in (pickle.loads(blob), LocRib.from_delta_items(rib.delta_items())):
+            model = dict(table)
+            assert copy._trie is None
+            mutate(copy, model, second)
+            assert_index_matches(copy, model)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_mutation, max_size=12), st.lists(_mutation, max_size=8),
+           st.lists(_mutation, max_size=8), st.booleans())
+    def test_fork_then_divergent_writes(self, shared, ours, theirs, built):
+        rib, table = LocRib(), {}
+        mutate(rib, table, shared)
+        if built:
+            rib.covered_by(_POOL[0])
+        fork, fork_table = rib.fork(), dict(table)
+        assert fork._trie is None
+        mutate(rib, table, ours)
+        mutate(fork, fork_table, theirs)
+        assert_index_matches(rib, table)
+        assert_index_matches(fork, fork_table)
+
+    def test_index_is_not_built_by_the_update_path(self):
+        rib = LocRib()
+        rib.install(route())
+        rib.withdraw(P("10.0.0.0/8"))
+        rib.install(route())
+        assert rib.get(P("10.0.0.0/8")) is not None and P("10.0.0.0/8") in rib
+        assert rib._trie is None
+
+
+class TestRouteIsAValue:
+    def test_route_fields_cannot_be_assigned(self):
+        entry = route()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.peer = "someone-else"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.attributes = PathAttributes()
+        rebuilt = entry.with_attributes(PathAttributes(local_pref=7))
+        assert rebuilt.local_pref() == 7 and entry.local_pref() == 100
+
+    def test_adj_rib_forks_share_routes_not_tables(self):
+        for rib_type, write in (
+            (AdjRibIn, lambda rib, entry: rib.install("p1", entry)),
+            (AdjRibOut, lambda rib, entry: rib.record("p1", entry)),
+        ):
+            rib = rib_type()
+            first = route()
+            write(rib, first)
+            fork = rib.fork()
+            assert type(fork) is rib_type
+            write(fork, route(prefix="10.9.0.0/16"))
+            write(fork, route(path=(65444,)))
+            assert rib.delta_items() == {("p1", P("10.0.0.0/8")): first}
+            assert fork.delta_items()[("p1", P("10.0.0.0/8"))] is not first
+            assert fork.route_count() == 2
