@@ -145,52 +145,6 @@ def test_fabric_propagation_throughput(benchmark, paper_rows, name):
     )
 
 
-@pytest.mark.benchmark(group="federation")
-def test_shared_pool_vs_per_as_pools_streamed(benchmark, paper_rows):
-    """One shared streaming pool vs the legacy one-pool-per-AS layout.
-
-    Workers are held constant on both sides (the point of the refactor:
-    an 8-AS federation used to pay 8 pool start-ups and 8×workers
-    processes contending for the same cores; now it pays one), and the
-    comparison doubles as a parity gate — the per-AS finding sets must
-    be identical whichever layout ran.  The smoke run keeps the shape
-    check (pool counts + parity) on the serial executor; wall-clock
-    numbers are only meaningful on the full run with real processes.
-    """
-    built = build_converged("tiered-8")
-    corpus = built.seed_corpus()
-    federation = built.federation()
-    workers = 2
-
-    def shared():
-        return federation.explore(
-            corpus, budget=BUDGET, workers=workers, stream=True,
-            force_serial=SMOKE,
-        )
-
-    shared_report = benchmark.pedantic(shared, rounds=1, iterations=1)
-    per_as_report = federation.explore(
-        corpus, budget=BUDGET, workers=workers, stream=True,
-        force_serial=SMOKE, shared_pool=False,
-    )
-    assert shared_report.pools == 1
-    assert per_as_report.pools == len(built.routers)
-    assert shared_report.finding_keys() == per_as_report.finding_keys(), (
-        "shared-pool streamed exploration diverged from the per-AS-pools "
-        "finding set"
-    )
-    deltas = shared_report.stream_summary["deltas_by_node"]
-    assert set(deltas) <= set(built.routers)
-    paper_rows.add(
-        "FED", f"tiered-8 shared pool vs per-AS pools ({workers} workers)",
-        "n/a (single-node prototype in the paper)",
-        f"1 pool {shared_report.wall_seconds:.2f}s vs "
-        f"{per_as_report.pools} pools {per_as_report.wall_seconds:.2f}s, "
-        f"identical {len(shared_report.finding_keys())}-key finding set",
-        note="smoke budget (serial executor)" if SMOKE else "",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Internet-scale curve: hierarchical federations, vectorized wave.
 # ---------------------------------------------------------------------------

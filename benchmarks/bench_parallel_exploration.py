@@ -1,174 +1,30 @@
-"""PAR — executions/sec scaling of parallel multi-seed exploration.
+"""PAR — a multi-seed session batch through the worker pool.
 
 The paper's deployment model runs exploration "off the critical path" on
 spare cores (sections 3.2, 4.1) and notes the engine "can execute
 multiple explorations in parallel"; the sequential prototype explored
-one seed per round in-process.  This benchmark measures what the
-``repro.parallel`` subsystem buys:
+one seed per round in-process.  This benchmark runs a full
+checkpoint-clone-explore batch over the Figure 2 scenario's observed
+seed buffers on two pool workers and holds it against the in-process
+serial loop — the reference: the finding set must be identical, and the
+two throughputs are reported side by side (no speedup is asserted: the
+pool only pays off with spare cores and a budget that amortizes its
+start-up).
 
-* **worker scaling** — executions/sec over a batch of fig1-family
-  exploration jobs at 1 vs. 4 worker processes (the wide variant of the
-  fig1 handler keeps every session execution-budget-bound, so the
-  measurement reflects exploration throughput, not pool startup);
-* **determinism** — the same batch yields identical execution counts
-  and outcomes regardless of worker count;
-* **constraint-cache effectiveness** — duplicate seeds in a batch are
-  solved once, not once per session;
-* **end-to-end sessions** — a full checkpoint-clone-explore batch over
-  the Figure 2 scenario's observed seed buffers.
-
-Speedup assertions are gated on the host's core count: a process pool
-cannot beat serial execution on a single-core box, and pretending
-otherwise would make the benchmark lie.  CI runners provide the cores.
 Set ``REPRO_BENCH_SMOKE=1`` for a tiny-budget smoke run (used by CI to
 keep perf scripts from rotting without paying the full measurement).
 """
 
 import os
-import time
 
 import pytest
 
 from repro.concolic import ExplorationBudget
 from repro.core import get_scenario
-from repro.parallel import EngineBatch, ParallelExplorer
-from repro.parallel.workloads import (
-    FIG1_OUTCOMES,
-    fig1_handler,
-    fig1_spec,
-    wide_filter_handler,
-    wide_filter_spec,
-)
+from repro.parallel import ParallelExplorer
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 CPUS = os.cpu_count() or 1
-
-JOBS = 4 if SMOKE else 8
-BUDGET = ExplorationBudget(
-    max_executions=80 if SMOKE else 400,
-    max_solver_queries=(80 if SMOKE else 400) * 16,
-)
-
-
-def run_engine_batch(workers, force_serial=False, constraint_cache=True):
-    batch = EngineBatch(
-        workers=workers, force_serial=force_serial, constraint_cache=constraint_cache
-    )
-    programs = [(wide_filter_handler, wide_filter_spec()) for _ in range(JOBS)]
-    run = batch.explore(programs, budget=BUDGET)
-    executions = run.total_executions
-    eps = executions / run.wall_seconds if run.wall_seconds > 0 else 0.0
-    return run, executions, eps
-
-
-@pytest.mark.benchmark(group="parallel")
-def test_parallel_workers_scale_executions_per_second(benchmark, paper_rows):
-    """4 workers vs. 1 on the fig1-family workload (the tentpole metric).
-
-    The constraint cache is off for both sides: identical jobs would let
-    the shared cache skip most solver work, and the cross-process cache
-    funnels through a single manager process — either effect would make
-    the scaling number measure caching, not workers.
-    """
-    _, serial_execs, serial_eps = run_engine_batch(workers=1, constraint_cache=False)
-
-    pool_run, pool_execs, pool_eps = benchmark.pedantic(
-        run_engine_batch,
-        kwargs={"workers": 4, "constraint_cache": False},
-        rounds=1,
-        iterations=1,
-    )
-    speedup = pool_eps / serial_eps if serial_eps else 0.0
-
-    # Same batch, same results — parallelism must not change the outcome.
-    assert pool_execs == serial_execs
-
-    paper_rows.add(
-        "PAR", "executions/sec: 4 workers vs 1",
-        "runs on spare cores, off the critical path (sec 3.2)",
-        f"{pool_eps:.0f} vs {serial_eps:.0f} ({speedup:.2f}x, {CPUS} cores)",
-        note="smoke budget" if SMOKE else pool_run.fallback_reason,
-    )
-    if not pool_run.used_processes:
-        pytest.skip(
-            "process pool unavailable, batch ran on the serial fallback "
-            f"({pool_run.fallback_reason or 'forced serial'}); "
-            "speedup not attributable to workers"
-        )
-    if SMOKE or CPUS < 2:
-        pytest.skip(
-            f"speedup assertion needs >=2 cores and a full budget "
-            f"(cores={CPUS}, smoke={SMOKE}); measured {speedup:.2f}x"
-        )
-    floor = 1.5 if CPUS >= 4 else 1.2
-    assert speedup >= floor, (
-        f"4 workers gave {speedup:.2f}x over 1 worker on {CPUS} cores "
-        f"(expected >= {floor}x)"
-    )
-
-
-@pytest.mark.benchmark(group="parallel")
-def test_parallel_batch_deterministic_across_executors(benchmark, paper_rows):
-    """Pool, serial fallback, and 1-worker runs agree execution for execution."""
-    pool_run, pool_execs, _ = benchmark.pedantic(
-        run_engine_batch, kwargs={"workers": 2}, rounds=1, iterations=1
-    )
-    serial_run, serial_execs, _ = run_engine_batch(workers=4, force_serial=True)
-    assert pool_execs == serial_execs
-    assert [r.unique_paths for r in pool_run.reports] == [
-        r.unique_paths for r in serial_run.reports
-    ]
-    paper_rows.add(
-        "PAR", "batch outcome independent of worker count",
-        "n/a (design invariant)",
-        f"yes: {pool_execs} executions, "
-        f"{sum(r.unique_paths for r in pool_run.reports)} unique paths either way",
-    )
-
-
-@pytest.mark.benchmark(group="parallel")
-def test_constraint_cache_dedups_identical_negations(benchmark, paper_rows):
-    """Duplicate seeds in a batch hit the shared cache instead of the solver."""
-    def run():
-        # Serial executor isolates the measurement from pool scheduling;
-        # all jobs are identical, the worst (and common) duplicate case.
-        return run_engine_batch(workers=1, constraint_cache=True)
-
-    batch_run, _, _ = benchmark.pedantic(run, rounds=1, iterations=1)
-    reports = batch_run.reports
-    hits = sum(r.solver_stats.get("cache_hits", 0) for r in reports)
-    misses = sum(r.solver_stats.get("cache_misses", 0) for r in reports)
-    assert hits > 0, "identical sessions produced no cache hits"
-    # Sessions 2..N should resolve (nearly) every query from session 1's work.
-    assert hits >= misses * (len(reports) - 2), (hits, misses)
-    paper_rows.add(
-        "PAR", "constraint-cache hit rate on duplicate seeds",
-        "identical negations solved once (design goal)",
-        f"{hits}/{hits + misses} ({hits / (hits + misses):.0%})",
-    )
-
-
-@pytest.mark.benchmark(group="parallel")
-def test_fig1_outcomes_reached_through_worker_pool(benchmark, paper_rows):
-    """The exact fig1 handler still reaches all 8 outcomes via workers."""
-    def run():
-        batch = EngineBatch(workers=2)
-        reports, _ = batch.explore(
-            [(fig1_handler, fig1_spec())],
-            budget=ExplorationBudget(max_executions=128),
-        )
-        return reports[0]
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    # keep_results=False in workers: verify via coverage, not return values.
-    assert report.unique_paths >= len(FIG1_OUTCOMES)
-    assert report.coverage.fully_covered_sites >= 6
-    paper_rows.add(
-        "PAR", "fig1 path enumeration through a worker pool",
-        "all reachable paths found by negation",
-        f"{report.unique_paths} unique paths, "
-        f"{report.coverage.covered_outcomes} branch outcomes",
-    )
 
 
 @pytest.mark.benchmark(group="parallel")
@@ -183,17 +39,25 @@ def test_parallel_session_batch_end_to_end(benchmark, paper_rows):
     seeds = scenario.dice.batch_seeds(all_seeds=True)
     budget = ExplorationBudget(max_executions=8 if SMOKE else 16)
 
-    def run():
-        explorer = ParallelExplorer(workers=2)
+    def run(force_serial=False):
+        explorer = ParallelExplorer(workers=2, force_serial=force_serial)
         return explorer.explore_batch(scenario.provider, seeds, budget=budget)
 
+    serial = run(force_serial=True)
     batch = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(batch.reports) == len(seeds)
     assert batch.leaked_prefixes(), "erroneous filter produced no leak findings"
+    # Same seeds, same budget: the pool must not change the outcome.
+    assert batch.total_executions == serial.total_executions
+    assert {f.dedup_key() for f in batch.findings()} == {
+        f.dedup_key() for f in serial.findings()
+    }
     paper_rows.add(
         "PAR", "multi-seed session batch (all ring buffers)",
         "one seed per round in the prototype",
         f"{len(batch.reports)} sessions, {batch.total_executions} executions, "
-        f"{batch.executions_per_second:.0f} exec/s, "
+        f"{batch.executions_per_second:.0f} exec/s on 2 workers vs "
+        f"{serial.executions_per_second:.0f} in process ({CPUS} cores), "
         f"{len(batch.leaked_prefixes())} leakable prefixes",
+        note="smoke budget" if SMOKE else batch.fallback_reason,
     )

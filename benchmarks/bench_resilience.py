@@ -1,14 +1,14 @@
-"""RESILIENCE — supervision must be (nearly) free, recovery must pay off.
+"""RESILIENCE — supervision must stay cheap, recovery must pay off.
 
 The streaming pool's resilience layer (worker supervision, heartbeat
 hang sweeps, retry bookkeeping) runs on the hot dispatch/collect path of
 every stream — faulted or not.  This benchmark keeps it honest:
 
-* **supervision overhead** — the acceptance gate: a supervised stream's
-  throughput (executions/sec, best of N interleaved runs) must be
-  within **5%** of the same stream with ``supervise=False``.  The
-  supervised figure is also recorded in ``baseline_hotpath.json`` and
-  floor-gated like the other hot-path figures;
+* **throughput floor** — a healthy stream's throughput (executions/sec,
+  best of N runs) is recorded in ``baseline_hotpath.json`` and
+  floor-gated like the other hot-path figures (the last comparison
+  against an unsupervised pool is frozen in the README's perf ledger,
+  entry 2);
 * **recovery economics** — a stream that loses a worker to a chaos kill
   must still complete every job with the same finding set, and finish
   in bounded time (recovery, not graceful degradation into a crawl).
@@ -35,9 +35,6 @@ SEEDS = 8 if SMOKE else 16
 ROUNDS = 2 if SMOKE else 3
 BUDGET = ExplorationBudget(max_executions=6 if SMOKE else 16)
 
-#: The acceptance gate: supervised throughput within 5% of unsupervised.
-MAX_OVERHEAD = 0.05
-
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -56,12 +53,11 @@ def observed_seeds(scenario, count):
     return [seeds[i % len(seeds)] for i in range(count)]
 
 
-def run_stream(scenario, seeds, supervise=True, chaos=None):
+def run_stream(scenario, seeds, chaos=None):
     stream = StreamingExplorer(
         workers=WORKERS,
         budget=BUDGET,
         queue_capacity=len(seeds),
-        supervise=supervise,
         chaos=chaos,
         restart_backoff=0.01,
     )
@@ -80,38 +76,27 @@ def finding_keys(report):
 
 
 @pytest.mark.benchmark(group="resilience")
-def test_supervised_pool_overhead_under_five_percent(paper_rows, scenario):
-    """The acceptance gate: heartbeats + supervision cost < 5% throughput."""
+def test_supervised_stream_throughput_floor(paper_rows, scenario):
+    """Heartbeats + supervision ride every stream; gate what it delivers."""
     seeds = observed_seeds(scenario, SEEDS)
-    probe = run_stream(scenario, seeds, supervise=False)
-    if not probe.used_processes:
+    # Best-of-N discards scheduling noise.
+    reports = [run_stream(scenario, seeds) for _ in range(ROUNDS)]
+    if not all(report.used_processes for report in reports):
         pytest.skip("no process workers on this host")
-    # Interleave the two configurations so machine drift (thermal, page
-    # cache) hits both equally; best-of-N discards scheduling noise.
-    unsupervised = [_rate(probe)]
-    supervised = []
-    for _ in range(ROUNDS):
-        supervised.append(_rate(run_stream(scenario, seeds, supervise=True)))
-        unsupervised.append(_rate(run_stream(scenario, seeds, supervise=False)))
-    sup_rate, unsup_rate = max(supervised), max(unsupervised)
-    overhead = 1.0 - sup_rate / unsup_rate
+    rate = max(_rate(report) for report in reports)
     paper_rows.add(
         "resilience",
-        "supervised-pool throughput overhead",
-        f"< {MAX_OVERHEAD:.0%}",
-        f"{overhead:.1%} ({sup_rate:.1f} vs {unsup_rate:.1f} exec/s)",
-        note=f"best of {ROUNDS} interleaved runs",
-    )
-    assert sup_rate >= unsup_rate * (1.0 - MAX_OVERHEAD), (
-        f"supervision overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%} "
-        f"({sup_rate:.1f} vs {unsup_rate:.1f} exec/s)"
+        "supervised-pool throughput",
+        "above the recorded floor",
+        f"{rate:.1f} exec/s",
+        note=f"best of {ROUNDS} runs",
     )
     if WRITE_BASELINE:
-        write_baseline(stream_supervised_execs_per_sec=sup_rate)
+        write_baseline(stream_supervised_execs_per_sec=rate)
         return
     floor = gate_floor("stream_supervised_execs_per_sec")
-    assert sup_rate >= floor, (
-        f"supervised stream throughput {sup_rate:.1f} exec/s fell below "
+    assert rate >= floor, (
+        f"supervised stream throughput {rate:.1f} exec/s fell below "
         f"the baseline floor {floor:.1f}"
     )
 
@@ -122,12 +107,10 @@ def test_recovery_completes_without_collapsing(paper_rows, scenario):
     job completes, findings match the unfaulted stream, and the wall
     clock stays within a small multiple of the healthy run's."""
     seeds = observed_seeds(scenario, SEEDS)
-    healthy = run_stream(scenario, seeds, supervise=True)
+    healthy = run_stream(scenario, seeds)
     if not healthy.used_processes:
         pytest.skip("no process workers on this host")
-    chaotic = run_stream(
-        scenario, seeds, supervise=True, chaos=get_chaos_plan("kill-one-worker")
-    )
+    chaotic = run_stream(scenario, seeds, chaos=get_chaos_plan("kill-one-worker"))
     assert chaotic.jobs_completed == len(seeds)
     assert not chaotic.quarantined
     assert finding_keys(chaotic) == finding_keys(healthy)

@@ -19,6 +19,7 @@ Run:  python examples/federated_exploration.py
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.nlri import NlriEntry
+from repro.concolic import ExplorationBudget
 from repro.core import get_scenario
 from repro.core.federation import FederatedExploration, IsolatedFabric
 from repro.core.privacy import OriginDigest, PrivacyGuard, digest_conflicts, resolve_digest
@@ -104,9 +105,6 @@ def main() -> None:
           f"converged: {report.converged}")
 
     print("\nAnd at scenario scale (generated 8-AS federation, one call):")
-    from repro.concolic import ExplorationBudget
-    from repro.core import get_scenario
-
     built = get_scenario("tiered-8").build(seed=7)
     built.converge()
     fed_report = built.federation().explore(

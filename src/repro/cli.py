@@ -86,7 +86,7 @@ def cmd_leak_check(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     if args.workers < 1:
-        # Caught here rather than deep in the executor, where a bad
+        # Caught here rather than deep in the explorer, where a bad
         # value used to surface as an opaque ValueError traceback.
         print(
             f"error: --workers must be >= 1, got {args.workers}",
@@ -167,8 +167,7 @@ def _explore_parallel(scenario, args: argparse.Namespace) -> int:
     for key, value in batch.summary().items():
         print(f"  {key}: {value}")
     if batch.fallback_reason:
-        print(f"  note: process pool unavailable ({batch.fallback_reason}); "
-              "ran on the in-process executor")
+        print(f"  note: {batch.fallback_reason}")
     return 0
 
 

@@ -17,9 +17,9 @@ This module implements that sketch on our substrates:
   the topology's per-edge latencies, until the exploratory wave
   quiesces or the hop budget runs out (in which case the wave reports
   ``converged=False`` instead of silently stopping);
-* per-AS concolic exploration is dispatched through the parallel and
-  streaming engines (:meth:`FederatedExploration.explore`), so a
-  generated federation of N ASes explores with the same worker pools,
+* per-AS concolic exploration is dispatched through the parallel
+  machinery (:meth:`FederatedExploration.explore`), so a generated
+  federation of N ASes explores with the same single worker pool,
   shared constraint cache, and determinism guarantees as a single
   node's batch;
 * system-wide checks then run over the clone ensemble, using only the
@@ -84,24 +84,6 @@ class InjectionEvent:
     at: float
     label: str
     action: Callable[["IsolatedFabric"], None] = field(compare=False)
-
-
-def _split_chunks(items: Sequence, count: int) -> List[list]:
-    """``items`` in ``count`` contiguous chunks (early chunks larger).
-
-    Chunking only moves *when* a seed enters the stream relative to the
-    epoch boundaries — per-node arrival order (and thus every job index)
-    is unchanged, which is why epoch-chunked streamed runs keep finding
-    parity with serial ones.
-    """
-    base, extra = divmod(len(items), count)
-    chunks: List[list] = []
-    cursor = 0
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        chunks.append(list(items[cursor:cursor + size]))
-        cursor += size
-    return chunks
 
 
 @dataclass
@@ -180,10 +162,11 @@ class IsolatedFabric:
         self.graph = graph
         self.default_latency = default_latency
         #: ``vectorized=False`` restores the original one-closure-per-
-        #: delivery scheduling.  It exists only as the baseline side of
-        #: ``bench_federation.py``'s throughput comparison (like
-        #: ``shared_pool=False`` on the explorer) and should not be used
-        #: otherwise — both paths deliver identical waves.
+        #: delivery scheduling: the wave's reference implementation
+        #: (the vectorized-vs-legacy parity test and
+        #: ``bench_federation.py``'s throughput comparison run it) and
+        #: should not be used otherwise — both paths deliver identical
+        #: waves.
         self.vectorized = vectorized
         #: Per-edge latencies, both directions, resolved once at build
         #: time: the hot path must not pay a frozenset + two dict hops
@@ -495,9 +478,8 @@ class FederatedReport:
     streamed: bool = False
     used_processes: bool = False
     wall_seconds: float = 0.0
-    #: Worker pools the exploration opened: 1 for the shared federation
-    #: pool (and for any batch run), one per AS only under the legacy
-    #: ``shared_pool=False`` comparison path.
+    #: Worker pools the exploration opened: one shared by the whole
+    #: federation, batch or streamed.
     pools: int = 0
     #: Per-AS finding-yield EWMAs from the federation dispatch scheduler
     #: (empty for batch runs or ``as_rotation="round-robin"``).
@@ -594,11 +576,11 @@ class FederatedExploration:
       UPDATE at one clone, propagation, digest comparison;
     * :meth:`explore` — the scenario-scale version: a whole seed corpus
       is first explored concolically *per AS* through
-      :class:`~repro.parallel.ParallelExplorer` (one shared worker pool
-      and constraint cache across all ASes) or per-AS
-      :class:`~repro.parallel.stream.StreamingExplorer` pipelines, then
-      every seed is injected into one fabric for the system-wide wave
-      and digest check.
+      :class:`~repro.parallel.ParallelExplorer` or a
+      :class:`~repro.parallel.stream.StreamingExplorer` (either way one
+      worker pool and constraint cache across all ASes), then every
+      seed is injected into one fabric for the system-wide wave and
+      digest check.
 
     The cross-domain check is the federation-wide origin check: domains
     compare *origin digests* (salted hashes; see
@@ -690,7 +672,6 @@ class FederatedExploration:
         force_serial: bool = False,
         as_rotation: str = "yield",
         stream_epochs: int = 1,
-        shared_pool: bool = True,
         workload: Optional["WorkloadPlan"] = None,
         chaos: Optional["ChaosPlan"] = None,
         epoch_churn: Optional[int] = None,
@@ -701,22 +682,20 @@ class FederatedExploration:
 
         Per-AS exploration goes through the parallel machinery — a
         single :meth:`~repro.parallel.ParallelExplorer.explore_nodes`
-        fan-out (all ASes' jobs in one pool) or, with ``stream=True``,
-        **one** shared :class:`~repro.parallel.stream.StreamingExplorer`
-        whose workers hold every AS's ``(node, epoch)`` image and whose
-        dispatch budget rotates across ASes by recent finding yield
+        fan-out (the in-process loop for one worker, else all ASes' jobs
+        in one pool) or, with ``stream=True``, **one** shared
+        :class:`~repro.parallel.stream.StreamingExplorer` whose workers
+        hold every AS's ``(node, epoch)`` image and whose dispatch
+        budget rotates across ASes by recent finding yield
         (``as_rotation="yield"``; ``"round-robin"`` for blind rotation).
-        Both assign the same per-AS job indices, so for a fixed corpus
+        All assign the same per-AS job indices, so for a fixed corpus
         the finding set is identical across serial, batch, and streamed
         runs with any worker count.
 
         ``stream_epochs`` > 1 splits each AS's seed list into that many
         re-checkpoint epochs: every boundary captures each node again
         and ships only the per-node delta — the long-lived-deployment
-        shape, exercised here over a finite corpus.  ``shared_pool=
-        False`` keeps the legacy one-pipeline-per-AS layout (N pools of
-        ``workers`` processes each); it exists for benchmarks comparing
-        the two and should not be used otherwise.
+        shape, exercised here over a finite corpus.
 
         ``workload`` additionally runs a fault/churn wave
         (:meth:`run_workload`) after the corpus wave — on its *own*
@@ -729,9 +708,8 @@ class FederatedExploration:
         ``chaos`` injects a deterministic fault plan
         (:class:`~repro.parallel.chaos.ChaosPlan`) into the shared
         streaming pool — the resilience layer's recovery counters come
-        back in ``report.stream_summary``.  Only meaningful against the
-        shared pool, so it requires ``stream=True`` and
-        ``shared_pool=True``.
+        back in ``report.stream_summary`` — so it requires
+        ``stream=True``.
 
         ``epoch_churn`` makes the ``stream_epochs`` boundaries
         *churn-driven*: each boundary re-captures every node but only
@@ -739,8 +717,8 @@ class FederatedExploration:
         many dirty segments since their current image — quiet nodes
         skip the ship and their epoch stands.  ``autoscale`` runs the
         shared pool elastically (grow from one worker up to ``workers``
-        on observed backlog, shrink when drained).  Both require the
-        shared streaming pool.
+        on observed backlog, shrink when drained).  Both require
+        ``stream=True``.
         """
         if not seeds:
             raise ExplorationError("federated exploration needs a seed corpus")
@@ -748,20 +726,20 @@ class FederatedExploration:
             raise ExplorationError(
                 f"stream_epochs must be >= 1, got {stream_epochs}"
             )
-        if chaos is not None and not (stream and shared_pool):
+        if chaos is not None and not stream:
             raise ExplorationError(
                 "chaos injection targets the shared streaming pool; "
-                "it requires stream=True with shared_pool=True"
+                "it requires stream=True"
             )
-        if epoch_churn is not None and not (stream and shared_pool):
+        if epoch_churn is not None and not stream:
             raise ExplorationError(
                 "epoch_churn gates the shared stream's epoch boundaries; "
-                "it requires stream=True with shared_pool=True"
+                "it requires stream=True"
             )
-        if autoscale and not (stream and shared_pool):
+        if autoscale and not stream:
             raise ExplorationError(
                 "autoscale elasticizes the shared streaming pool; "
-                "it requires stream=True with shared_pool=True"
+                "it requires stream=True"
             )
         unknown = sorted({node for node, _, _ in seeds} - set(self.routers))
         if unknown:
@@ -773,7 +751,7 @@ class FederatedExploration:
 
         scheduler_yield: Dict[str, float] = {}
         stream_summary: Optional[Dict[str, object]] = None
-        if stream and shared_pool:
+        if stream:
             per_as, used_processes, scheduler_yield, stream_summary = (
                 self._explore_streamed(
                     by_node, budget, workers, policy, strategy, strategy_seed,
@@ -781,19 +759,11 @@ class FederatedExploration:
                     epoch_churn, autoscale, autoscale_interval,
                 )
             )
-            pools = 1
-        elif stream:
-            per_as, used_processes = self._explore_streamed_per_as(
-                by_node, budget, workers, policy, strategy, strategy_seed,
-                force_serial,
-            )
-            pools = len(by_node)
         else:
             per_as, used_processes = self._explore_batched(
                 by_node, budget, workers, policy, strategy, strategy_seed,
                 force_serial,
             )
-            pools = 1
 
         fabric = self._fabric(max_rounds)
         report = self._wave(fabric, seeds)
@@ -802,7 +772,7 @@ class FederatedExploration:
         report.workers = workers
         report.streamed = stream
         report.used_processes = used_processes
-        report.pools = pools
+        report.pools = 1
         report.scheduler_yield = scheduler_yield
         report.stream_summary = stream_summary
         if workload is not None:
@@ -856,12 +826,11 @@ class FederatedExploration:
             strategy=strategy,
             strategy_seed=strategy_seed,
             budget=budget,
-            queue_capacity=max((len(s) for s in by_node.values()), default=1),
             force_serial=force_serial,
             # Dispatch seeds in per-node arrival order: coverage-guided
             # reordering is profitable for open-ended streams, but a
-            # federated corpus is finite and parity with the batch
-            # engine's per-index sessions is what matters here.  Cross-AS
+            # federated corpus is finite and parity with the serial
+            # loop's per-index sessions is what matters here.  Cross-AS
             # rotation (as_rotation) is still free to reorder across
             # nodes — indices are fixed at submission.
             coverage_guided=False,
@@ -870,29 +839,12 @@ class FederatedExploration:
             autoscale=autoscale,
             autoscale_interval=autoscale_interval,
         )
-        pipeline.start_nodes({node: self.routers[node] for node in by_node})
-        try:
-            # Feed the corpus in stream_epochs chunks per node; every
-            # boundary re-checkpoints each node and ships its delta
-            # (or, with epoch_churn, only for nodes churned past the
-            # threshold — quiet nodes keep their epoch).
-            chunks = {
-                node: _split_chunks(node_seeds, stream_epochs)
-                for node, node_seeds in by_node.items()
-            }
-            for chunk_index in range(stream_epochs):
-                if chunk_index > 0:
-                    for node in sorted(by_node):
-                        pipeline.advance_epoch(
-                            node, churn_threshold=epoch_churn
-                        )
-                for node in by_node:
-                    for peer, update in chunks[node][chunk_index]:
-                        pipeline.submit(peer, update, node=node)
-        finally:
-            # close() drains by default, so the report is complete even
-            # when a submit raises mid-corpus.
-            stream_report = pipeline.close()
+        stream_report = pipeline.explore_corpus(
+            {node: self.routers[node] for node in by_node},
+            by_node,
+            epochs=stream_epochs,
+            churn_threshold=epoch_churn,
+        )
         per_as = {
             node: stream_report.reports_in_index_order(node) for node in by_node
         }
@@ -902,41 +854,6 @@ class FederatedExploration:
             pipeline.federation_yields(),
             stream_report.summary(),
         )
-
-    def _explore_streamed_per_as(
-        self, by_node, budget, workers, policy, strategy, strategy_seed,
-        force_serial,
-    ) -> Tuple[Dict[str, List[SessionReport]], bool]:
-        """Legacy layout: one pipeline (and pool) per AS.
-
-        Kept only as the baseline side of the shared-pool benchmark —
-        an N-AS federation pays N pool start-ups and N×workers worker
-        processes contending for the same cores.
-        """
-        from repro.parallel.stream import StreamingExplorer
-
-        per_as: Dict[str, List[SessionReport]] = {}
-        used_processes = False
-        for node, node_seeds in by_node.items():
-            pipeline = StreamingExplorer(
-                workers=workers,
-                policy=policy,
-                strategy=strategy,
-                strategy_seed=strategy_seed,
-                budget=budget,
-                queue_capacity=max(len(node_seeds), 1),
-                force_serial=force_serial,
-                coverage_guided=False,
-            )
-            pipeline.start(self.routers[node])
-            try:
-                for peer, update in node_seeds:
-                    pipeline.submit(peer, update)
-            finally:
-                stream_report = pipeline.close()
-            per_as[node] = stream_report.reports_in_index_order()
-            used_processes = used_processes or stream_report.used_processes
-        return per_as, used_processes
 
     def _wave(
         self, fabric: IsolatedFabric, seeds: Sequence[FederatedSeed]
@@ -1032,7 +949,7 @@ def explore_tenants(
     service-level counters (pool sizing, resize events, per-tenant job
     counts) live.
     """
-    from repro.parallel.stream import StreamingExplorer
+    from repro.parallel.stream import StreamingExplorer, split_chunks
 
     if not tenants:
         raise ExplorationError("explore_tenants needs at least one tenant")
@@ -1097,7 +1014,7 @@ def explore_tenants(
             )
         chunks = {
             name: {
-                node: _split_chunks(node_seeds, stream_epochs)
+                node: split_chunks(node_seeds, stream_epochs)
                 for node, node_seeds in by_node.items()
             }
             for name, by_node in by_tenant_node.items()

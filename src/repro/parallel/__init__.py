@@ -2,22 +2,24 @@
 
 The paper's deployment model runs exploration on spare cores while the
 live system keeps serving traffic (sections 3.2, 4.1).  This package
-supplies the throughput half of that story, in two shapes:
+supplies the throughput half of that story — one process pool, two ways
+in:
 
-* :class:`ParallelExplorer` fans a *batch* of observed seeds — all
-  peers' ring buffers, not just the latest input — out to worker
-  processes, each running a full checkpoint-clone-explore session;
-* :class:`StreamingExplorer` (:mod:`repro.parallel.stream`) replaces
-  the batch barrier with a pipeline: persistent workers pull jobs
-  continuously, checkpoints ship once per epoch with only changed
-  segments on re-checkpoint, and findings harvest asynchronously —
-  exploration overlaps live traffic instead of pausing for rounds;
+* :class:`StreamingExplorer` (:mod:`repro.parallel.stream`) is the pool:
+  persistent, supervised workers pull jobs continuously, checkpoints
+  ship once per epoch with only changed segments on re-checkpoint, and
+  findings harvest asynchronously — exploration overlaps live traffic
+  instead of pausing for rounds;
+* :class:`ParallelExplorer` explores a *batch* of observed seeds — all
+  peers' ring buffers, not just the latest input — and hands the reports
+  back in submission order: a plain in-process loop for one worker (the
+  serial reference every parity test compares against), the pool fed a
+  finite corpus and closed for more;
 * a shared constraint-result cache (:mod:`repro.parallel.cache`) keyed
   by canonicalized path condition avoids re-solving identical negations
-  across workers — single-manager for batches, sharded across manager
-  processes for streams;
-* a deterministic in-process :class:`SerialExecutor` (and the stream's
-  inline worker) stands in for process pools in tests and on hosts
+  across workers — a plain dict in process, sharded across manager
+  processes for the pool;
+* the stream's inline worker stands in for worker processes on hosts
   where subprocesses are unavailable, producing bit-identical results.
 
 Determinism is a design invariant, not an accident: worker sessions are
@@ -30,10 +32,7 @@ the same again whether the seeds arrived as a batch or a stream.
 
 from repro.parallel.cache import (
     ShardedConstraintCache,
-    SharedConstraintCache,
     TenantCacheView,
-    shared_cache,
-    sharded_cache,
     shutdown_cache_managers,
     start_sharded_cache,
 )
@@ -45,13 +44,7 @@ from repro.parallel.chaos import (
     get_chaos_plan,
     list_chaos_plans,
 )
-from repro.parallel.executors import SerialExecutor, make_executor
-from repro.parallel.explorer import (
-    BatchReport,
-    EngineBatch,
-    EngineBatchRun,
-    ParallelExplorer,
-)
+from repro.parallel.explorer import BatchReport, ParallelExplorer
 from repro.parallel.stream import (
     DEFAULT_TENANT,
     PoolAutoscaler,
@@ -62,13 +55,7 @@ from repro.parallel.stream import (
     WorkerSupervisor,
     stream_worker_main,
 )
-from repro.parallel.worker import (
-    EngineJob,
-    ProgressBeacon,
-    SessionJob,
-    run_engine_job,
-    run_session_job,
-)
+from repro.parallel.worker import ProgressBeacon, SessionJob, run_session_job
 
 __all__ = [
     "BatchReport",
@@ -77,17 +64,12 @@ __all__ = [
     "ChaosEvent",
     "ChaosPlan",
     "DEFAULT_TENANT",
-    "EngineBatch",
-    "EngineBatchRun",
-    "EngineJob",
     "ParallelExplorer",
     "PoolAutoscaler",
     "ProgressBeacon",
     "QuarantinedJob",
-    "SerialExecutor",
     "SessionJob",
     "ShardedConstraintCache",
-    "SharedConstraintCache",
     "StreamJob",
     "StreamReport",
     "StreamingExplorer",
@@ -95,11 +77,7 @@ __all__ = [
     "WorkerSupervisor",
     "get_chaos_plan",
     "list_chaos_plans",
-    "make_executor",
-    "run_engine_job",
     "run_session_job",
-    "shared_cache",
-    "sharded_cache",
     "shutdown_cache_managers",
     "start_sharded_cache",
     "stream_worker_main",

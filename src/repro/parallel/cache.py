@@ -10,23 +10,19 @@ the L1 matters: without it a cache could make exploration *slower* than
 just re-solving.  Writes go through to the shared layer so other workers
 benefit; reads fill the L1.
 
-Two shared-layer shapes:
+:class:`ShardedConstraintCache` partitions the key space across N
+manager *processes* (key-hash → shard; :func:`start_sharded_cache`
+starts them).  Cache keys are uniform blake2b digests, so
+``key[0] % shards`` balances load and solver IPC does not funnel through
+one process — a single manager shows up in profiles at higher worker
+counts.
 
-* :func:`shared_cache` — one manager dict, the original PR-1 transport.
-  Every get/put that misses the L1 serializes through the single manager
-  process, which shows up in profiles at higher worker counts.
-* :func:`sharded_cache` — :class:`ShardedConstraintCache` partitions the
-  key space across N manager *processes* (key-hash → shard).  Cache keys
-  are uniform blake2b digests, so ``key[0] % shards`` balances load and
-  solver IPC no longer funnels through one process.  The streaming
-  pipeline defaults to this.
-
-The wrappers are picklable (workers receive them inside their jobs or at
-spawn); only the proxies travel — the local layer starts empty in each
-process.  Proxy operations can fail when the owning manager has shut
-down (a worker outliving its batch, or a manager process killed under
-it); the cache degrades to L1-only rather than erroring, since a cache
-miss is always safe.  Degradation is *tracked*, not silent: a failing
+The cache is picklable (workers receive it at spawn); only the proxies
+travel — the local layer starts empty in each process.  Proxy operations
+can fail when the owning manager has shut down (a worker outliving its
+pool, or a manager process killed under it); the cache degrades to
+L1-only rather than erroring, since a cache miss is always safe.
+Degradation is *tracked*, not silent: a failing
 shard is marked dead (no further IPC attempts against it), the
 ``degraded`` flag and ``degraded_ops`` counter record the loss, and
 :meth:`ShardedConstraintCache.info` reports per-shard liveness so the
@@ -37,9 +33,8 @@ of dead shards quietly counting zero entries.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from multiprocessing.managers import SyncManager
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.concolic.solver.cache import CacheEntry, SemanticIndex
 from repro.concolic.solver.intervals import Interval
@@ -269,38 +264,14 @@ class TenantCacheView:
         return getattr(self._cache, name)
 
 
-class SharedConstraintCache(ShardedConstraintCache):
-    """The single-shard case: one manager dict behind the L1 (PR 1 shape)."""
-
-    def __init__(self, shared) -> None:
-        super().__init__([shared])
-
-
-@contextmanager
-def shared_cache() -> Iterator[SharedConstraintCache]:
-    """A :class:`SharedConstraintCache` bound to a fresh manager process.
-
-    The manager lives for the duration of the ``with`` block — the
-    coordinator wraps one batch in it, so entries are shared across all
-    of the batch's workers and released when the batch completes.
-    """
-    manager = SyncManager()
-    manager.start()
-    try:
-        yield SharedConstraintCache(manager.dict())
-    finally:
-        manager.shutdown()
-
-
 def start_sharded_cache(
     shards: int = 4,
 ) -> Tuple[ShardedConstraintCache, List[SyncManager]]:
     """Start ``shards`` manager processes and build the cache over them.
 
-    The non-contextmanager shape: callers that need the manager handles
-    themselves — the streaming coordinator keeps them to shut down at
-    ``close()``, to probe liveness, and (under the chaos harness) to
-    kill mid-run — get ``(cache, managers)``.  A startup failure partway
+    The caller owns the manager handles: the streaming coordinator keeps
+    them to shut down at ``close()``, to probe liveness, and (under the
+    chaos harness) to kill mid-run.  A startup failure partway
     through (fork refused under memory pressure) shuts down the managers
     already started and propagates, so the caller can fall back to a
     smaller configuration or an in-process cache.
@@ -328,18 +299,3 @@ def shutdown_cache_managers(managers: Sequence[SyncManager]) -> None:
             manager.shutdown()
         except Exception:
             pass
-
-
-@contextmanager
-def sharded_cache(shards: int = 4) -> Iterator[ShardedConstraintCache]:
-    """A :class:`ShardedConstraintCache` over ``shards`` manager processes.
-
-    Each shard is a dict owned by its *own* manager process, so worker
-    IPC spreads across them instead of serializing through one.  All
-    managers live for the ``with`` block and are released on exit.
-    """
-    cache, managers = start_sharded_cache(shards)
-    try:
-        yield cache
-    finally:
-        shutdown_cache_managers(managers)

@@ -1,50 +1,44 @@
 """The parallel exploration coordinator.
 
 :class:`ParallelExplorer` turns the one-seed-per-round demo loop into a
-throughput engine: take one checkpoint of the live node, fan a batch of
-observed seeds out to worker processes, and aggregate the returned
-session reports.  The checkpoint is captured once per batch (the paper
-re-checkpoints on a period, not per input) and travels inside each job
-(so it is pickled once per seed — per-worker delivery via a pool
-initializer is a noted ROADMAP item for large RIBs); workers restore it
-into isolated clones, so the live router is paused only for the
-capture, never for exploration.
+throughput engine: checkpoint the live node(s) once per batch (the paper
+re-checkpoints on a period, not per input), explore every observed seed
+from an isolated clone, and aggregate the session reports.  The live
+router is paused only for the capture, never for exploration.
 
-Batches collect results in submission order and dedup findings by their
+It is a facade with one decision.  ``workers <= 1 or force_serial`` runs
+the batch as a plain in-process loop over
+:func:`~repro.parallel.worker.run_session_job` — the reference every
+parity test compares against, and the cheapest way to run a batch that
+gets no second core.  Anything else rides the one process pool the repo
+has: a :class:`~repro.parallel.stream.StreamingExplorer` fed the finite
+corpus and closed, so a batch gets the stream's supervision, hang
+detection and respawn for free, and a host that cannot fork degrades to
+the stream's inline worker with ``used_processes=False`` and the reason
+recorded instead of losing the round.
+
+Results come back in submission order and findings dedup by their
 ``dedup_key`` — both order-independent operations — so the outcome of a
 batch does not depend on worker count or scheduling (see the package
 docstring for the full determinism argument).
-
-A broken process pool (fork refused, worker killed) degrades to the
-serial executor and re-runs the remaining jobs in-process; the batch
-then reports ``used_processes=False`` with the reason, rather than
-losing the round.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.router import BgpRouter
 from repro.checkpoint.snapshot import Checkpoint
-from repro.concolic.engine import ExplorationBudget, ExplorationReport
+from repro.concolic.engine import ExplorationBudget
 from repro.concolic.solver import merge_stats_dict
 from repro.concolic.solver.cache import DictConstraintCache
 from repro.core.checkers import FaultChecker
 from repro.core.report import Finding, SessionReport
-from repro.parallel.cache import shared_cache
-from repro.parallel.executors import SerialExecutor, make_executor
-from repro.parallel.worker import (
-    EngineJob,
-    SessionJob,
-    run_engine_job,
-    run_session_job,
-)
+from repro.parallel.worker import SessionJob, run_session_job
+from repro.util.errors import ExplorationError
 from repro.util.ip import Prefix
 
 Seed = Tuple[str, UpdateMessage]
@@ -75,8 +69,7 @@ class BatchReport:
     def add_report(self, report: SessionReport) -> "BatchReport":
         """Incremental aggregation: absorb one session report on arrival.
 
-        The batch path appends all reports at the barrier; the streaming
-        harvester calls this per completed job instead, and every
+        The streaming harvester calls this per completed job, and every
         aggregate view (``findings``, ``cache_stats``, ``summary``) is
         valid after each call — there is no finalize step.
         """
@@ -148,83 +141,6 @@ class BatchReport:
         return out
 
 
-@contextmanager
-def _batch_cache(enabled: bool, multiprocess: bool) -> Iterator[Optional[object]]:
-    """The constraint cache appropriate for a batch, or None.
-
-    Serial batches share a plain dict; multi-process batches get a
-    manager-backed shared cache whose lifetime is the batch.  Only the
-    manager *startup* is guarded — wrapping the yield itself in the
-    except would catch exceptions thrown in from the batch body and
-    yield a second time, which contextlib rejects.
-    """
-    if not enabled:
-        yield None
-        return
-    if not multiprocess:
-        yield DictConstraintCache()
-        return
-    stack = ExitStack()
-    try:
-        # enter_context runs shared_cache() up to its yield — i.e. the
-        # manager startup — so startup failures land in this except.
-        cache = stack.enter_context(shared_cache())
-    except (OSError, PermissionError):
-        # No manager process available: fall back to uncoordinated
-        # per-worker caching (each worker L1s inside its own process).
-        yield DictConstraintCache()
-        return
-    try:
-        yield cache
-    finally:
-        stack.close()
-
-
-def _run_jobs(
-    jobs: Sequence[object],
-    worker_fn: Callable,
-    workers: int,
-    force_serial: bool,
-) -> Tuple[List[object], bool, str]:
-    """Execute jobs, returning (results in submission order, used_processes, fallback_reason)."""
-    executor, is_pool, fallback_reason = make_executor(
-        workers, force_serial=force_serial
-    )
-    results: List[Optional[object]] = [None] * len(jobs)
-    unfinished: List[int] = []
-    with executor:
-        futures = []
-        submit_failure = ""
-        for index, job in enumerate(jobs):
-            try:
-                futures.append(executor.submit(worker_fn, job))
-            except (BrokenExecutor, RuntimeError) as exc:
-                # Pool broke during submission; everything from here on
-                # is re-run below.
-                submit_failure = f"{type(exc).__name__}: {exc}"
-                unfinished.extend(range(index, len(jobs)))
-                break
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result()
-            except BrokenExecutor as exc:
-                submit_failure = submit_failure or f"{type(exc).__name__}: {exc}"
-                unfinished.append(index)
-        if submit_failure:
-            fallback_reason = submit_failure
-    if unfinished:
-        # The pool died (fork refused mid-batch, a worker was OOM-killed
-        # ...).  Completed futures keep their results; only the jobs
-        # without one are re-run, serially, in this process.  Per-job
-        # determinism makes the salvage exact — a re-run job returns what
-        # the pool would have.
-        is_pool = False
-        with SerialExecutor() as serial:
-            for index in unfinished:
-                results[index] = serial.submit(worker_fn, jobs[index]).result()
-    return list(results), is_pool, fallback_reason
-
-
 class ParallelExplorer:
     """Fans batches of observed seeds out to checkpoint-clone workers."""
 
@@ -250,8 +166,8 @@ class ParallelExplorer:
         self.strategy = strategy
         self.strategy_seed = strategy_seed
         self.constraint_cache = constraint_cache
-        #: Tests (and hosts without fork) set this to run every batch on
-        #: the deterministic in-process executor regardless of ``workers``.
+        #: Tests (and hosts without fork) set this to run every batch in
+        #: the deterministic in-process loop regardless of ``workers``.
         self.force_serial = force_serial
 
     # -- batch construction ---------------------------------------------------
@@ -291,38 +207,13 @@ class ParallelExplorer:
         live_router: BgpRouter,
         seeds: Sequence[Seed],
         budget: Optional[ExplorationBudget] = None,
-        checkpoint: Optional[Checkpoint] = None,
     ) -> BatchReport:
         """Checkpoint once, explore every seed, aggregate the reports."""
-        started = time.perf_counter()
-        checkpoint_started = time.perf_counter()
-        if checkpoint is None:
-            checkpoint = Checkpoint.capture(live_router, "parallel-ckpt")
-        checkpoint_seconds = time.perf_counter() - checkpoint_started
+        from repro.parallel.stream import DEFAULT_NODE
 
-        if not seeds:
-            return BatchReport(
-                workers=self.workers,
-                checkpoint_seconds=checkpoint_seconds,
-                checkpoint_pages=checkpoint.page_count,
-                wall_seconds=time.perf_counter() - started,
-            )
-
-        multiprocess = self.workers > 1 and not self.force_serial
-        with _batch_cache(self.constraint_cache, multiprocess) as cache:
-            jobs = self.build_jobs(checkpoint, seeds, budget=budget, cache=cache)
-            reports, used_processes, fallback_reason = _run_jobs(
-                jobs, run_session_job, self.workers, self.force_serial
-            )
-        return BatchReport(
-            reports=list(reports),
-            workers=self.workers,
-            used_processes=used_processes,
-            fallback_reason=fallback_reason,
-            wall_seconds=time.perf_counter() - started,
-            checkpoint_seconds=checkpoint_seconds,
-            checkpoint_pages=checkpoint.page_count,
-        )
+        return self.explore_nodes(
+            [(DEFAULT_NODE, live_router, seeds)], budget=budget
+        )[DEFAULT_NODE]
 
     def explore_nodes(
         self,
@@ -332,124 +223,114 @@ class ParallelExplorer:
         """One batch spanning many routers: the federated fan-out.
 
         Each ``(node_id, router, seeds)`` entry is checkpointed once and
-        contributes one job per seed; all jobs then share a single
-        executor and constraint cache, so an 8-AS federation pays one
-        pool start-up instead of eight.  Job indices are assigned *per
-        node* (position within that node's seed list) — exactly what a
-        per-node :meth:`explore_batch` would assign and what a per-node
-        :class:`~repro.parallel.stream.StreamingExplorer` assigns as
-        arrival indices — which is what keeps serial, batch, and
-        streamed federated runs finding-set identical.
+        contributes one job per seed; all jobs share one constraint
+        cache and — past one worker — one process pool, so an 8-AS
+        federation pays one pool start-up instead of eight.  Job indices
+        are assigned *per node* (position within that node's seed list),
+        in the loop and in the stream alike, which is what keeps serial,
+        batch, and streamed federated runs finding-set identical.
 
-        Returns one :class:`BatchReport` per node, in input order.
+        Returns one :class:`BatchReport` per node, in input order.  The
+        wall clock and checkpoint time on each are the whole fan-out's
+        (sessions interleave across nodes) — do not add them across the
+        returned reports.
         """
         started = time.perf_counter()
-        checkpoints: Dict[str, Checkpoint] = {}
-        checkpoint_seconds = 0.0
-        for node_id, router, _ in node_batches:
-            capture_started = time.perf_counter()
-            checkpoints[node_id] = Checkpoint.capture(router, f"fed-{node_id}")
-            checkpoint_seconds += time.perf_counter() - capture_started
-
-        multiprocess = self.workers > 1 and not self.force_serial
-        spans: List[Tuple[str, int, int]] = []  # node, start, stop in `jobs`
-        with _batch_cache(self.constraint_cache, multiprocess) as cache:
-            jobs: List[SessionJob] = []
-            for node_id, _, seeds in node_batches:
-                node_jobs = self.build_jobs(
-                    checkpoints[node_id], seeds, budget=budget, cache=cache,
-                    node=node_id,
-                )
-                spans.append((node_id, len(jobs), len(jobs) + len(node_jobs)))
-                jobs.extend(node_jobs)
-            reports, used_processes, fallback_reason = _run_jobs(
-                jobs, run_session_job, self.workers, self.force_serial
-            )
+        if not any(seeds for _, _, seeds in node_batches):
+            return {
+                node_id: BatchReport(workers=self.workers)
+                for node_id, _, _ in node_batches
+            }
+        explore = (
+            self._explore_in_process
+            if self.workers <= 1 or self.force_serial
+            else self._explore_pooled
+        )
+        per_node, checkpoint_seconds, used_processes, fallback_reason = explore(
+            node_batches, budget
+        )
         wall = time.perf_counter() - started
-        batches: Dict[str, BatchReport] = {}
-        for node_id, start, stop in spans:
-            batches[node_id] = BatchReport(
-                reports=list(reports[start:stop]),
+        return {
+            node_id: BatchReport(
+                reports=reports,
                 workers=self.workers,
                 used_processes=used_processes,
                 fallback_reason=fallback_reason,
-                # Shared-pool provenance: the per-node wall clock and
-                # checkpoint time are the whole fan-out's (sessions
-                # interleave across nodes; captures were summed above) —
-                # do not add these across the returned reports.
                 wall_seconds=wall,
                 checkpoint_seconds=checkpoint_seconds,
-                checkpoint_pages=checkpoints[node_id].page_count,
+                # Every session of a node ran from the same checkpoint.
+                checkpoint_pages=reports[0].checkpoint_pages if reports else 0,
             )
-        return batches
+            for node_id, reports in per_node.items()
+        }
 
-
-@dataclass
-class EngineBatchRun:
-    """Outcome of one raw-program fan-out."""
-
-    reports: List[ExplorationReport]
-    wall_seconds: float
-    used_processes: bool
-    fallback_reason: str = ""
-
-    def __iter__(self):
-        # Unpacks as (reports, wall_seconds) for throughput-measuring
-        # callers; the executor provenance stays addressable by name.
-        return iter((self.reports, self.wall_seconds))
-
-    @property
-    def total_executions(self) -> int:
-        return sum(r.executions for r in self.reports)
-
-
-@dataclass
-class EngineBatch:
-    """Raw-program fan-out, for benchmarks and workload studies.
-
-    Same executor and cache machinery as :class:`ParallelExplorer`, but
-    over :class:`EngineJob`s — importable programs with input specs —
-    instead of checkpointed router sessions.
-    """
-
-    workers: int = 1
-    strategy: str = "generational"
-    strategy_seed: int = 0
-    constraint_cache: bool = True
-    force_serial: bool = False
-
-    def explore(
+    def _explore_in_process(
         self,
-        programs: Sequence[Tuple[Callable, object]],
-        budget: Optional[ExplorationBudget] = None,
-    ) -> EngineBatchRun:
-        """Explore each (program, spec) pair.
-
-        The result unpacks as ``reports, wall_seconds`` and additionally
-        records whether a real process pool ran — benchmarks must not
-        attribute serial-fallback throughput to N workers.
-        """
-        started = time.perf_counter()
-        multiprocess = self.workers > 1 and not self.force_serial
-        with _batch_cache(self.constraint_cache, multiprocess) as cache:
-            jobs = [
-                EngineJob(
-                    index=index,
-                    program=program,
-                    spec=spec,
-                    budget=budget,
-                    strategy=self.strategy,
-                    strategy_seed=self.strategy_seed,
-                    cache=cache,
+        node_batches: Sequence[Tuple[str, BgpRouter, Sequence[Seed]]],
+        budget: Optional[ExplorationBudget],
+    ) -> Tuple[Dict[str, List[SessionReport]], float, bool, str]:
+        """The serial loop: capture every node, then run job after job."""
+        capture_started = time.perf_counter()
+        checkpoints = {
+            node_id: Checkpoint.capture(router, f"fed-{node_id}")
+            for node_id, router, _ in node_batches
+        }
+        checkpoint_seconds = time.perf_counter() - capture_started
+        cache = DictConstraintCache() if self.constraint_cache else None
+        per_node = {
+            node_id: [
+                run_session_job(job)
+                for job in self.build_jobs(
+                    checkpoints[node_id], seeds, budget=budget, cache=cache,
+                    node=node_id,
                 )
-                for index, (program, spec) in enumerate(programs)
             ]
-            reports, used_processes, fallback_reason = _run_jobs(
-                jobs, run_engine_job, self.workers, self.force_serial
+            for node_id, _, seeds in node_batches
+        }
+        return per_node, checkpoint_seconds, False, ""
+
+    def _explore_pooled(
+        self,
+        node_batches: Sequence[Tuple[str, BgpRouter, Sequence[Seed]]],
+        budget: Optional[ExplorationBudget],
+    ) -> Tuple[Dict[str, List[SessionReport]], float, bool, str]:
+        """The batch as a stream with a finite corpus and one epoch."""
+        from repro.parallel.stream import StreamingExplorer
+
+        pipeline = StreamingExplorer(
+            workers=self.workers,
+            policy=self.policy,
+            model_kwargs=self.model_kwargs,
+            checkers=self.checkers,
+            anycast_whitelist=self.anycast_whitelist,
+            strategy=self.strategy,
+            strategy_seed=self.strategy_seed,
+            constraint_cache=self.constraint_cache,
+            budget=budget,
+            # Indices are fixed at submission, so dispatch order cannot
+            # change a session; arrival order keeps the scheduler out of
+            # a corpus that is explored in full anyway.
+            coverage_guided=False,
+        )
+        report = pipeline.explore_corpus(
+            {node_id: router for node_id, router, _ in node_batches},
+            {node_id: seeds for node_id, _, seeds in node_batches},
+        )
+        # A stream records a failed job and moves on; a batch promises a
+        # report per seed, so a hole fails it — as a raising session
+        # fails the serial loop.
+        failed = report.errors + [job.describe() for job in report.quarantined]
+        if failed:
+            raise ExplorationError(
+                f"{len(failed)} job(s) of the batch failed: {failed[0]}"
             )
-        return EngineBatchRun(
-            reports=list(reports),
-            wall_seconds=time.perf_counter() - started,
-            used_processes=used_processes,
-            fallback_reason=fallback_reason,
+        per_node = {
+            node_id: report.reports_in_index_order(node_id)
+            for node_id, _, _ in node_batches
+        }
+        return (
+            per_node,
+            report.checkpoint_seconds,
+            report.used_processes,
+            report.fallback_reason,
         )

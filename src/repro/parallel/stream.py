@@ -1,11 +1,10 @@
 """The streaming exploration pipeline: persistent workers fed by a seed stream.
 
-The batch engine (:class:`repro.parallel.ParallelExplorer`) fans one
-synchronous batch out per scheduler round: every job carries a full
-checkpoint pickle, results return at a barrier, and between rounds the
-workers do not exist.  The paper's deployment is *continuous* — "DiCE
-runs in the Provider's router" — so this module replaces the batch with
-a pipeline:
+This module is the repo's one process pool.  The paper's deployment is
+*continuous* — "DiCE runs in the Provider's router" — so exploration is
+a pipeline, not a per-round fan-out with a barrier (a multi-process
+batch, :class:`repro.parallel.ParallelExplorer`, is this pipeline fed a
+finite corpus and closed — :meth:`StreamingExplorer.explore_corpus`):
 
 * **persistent workers** — long-lived processes pull jobs from
   per-worker FIFO queues and push reports to a shared result queue; the
@@ -38,30 +37,32 @@ across ASes by recent finding yield
 federation therefore runs on ``workers`` processes total, not
 ``8 * workers`` pools fighting for the same cores.
 
-Determinism is preserved from the batch engine: each seed gets a
-per-node arrival index, the per-job strategy RNG derives from that index
-exactly as batch jobs derive from their batch position, sessions are
-independent, and cache hits are bit-identical to local solves.  For a
-fixed observed-seed sequence within one epoch, the harvested finding set
-equals ``ParallelExplorer.explore_batch`` over the same seeds — with one
-worker, N workers, or the in-process serial fallback
+Determinism matches the serial loop: each seed gets a per-node arrival
+index, the per-job strategy RNG derives from that index exactly as the
+loop's jobs derive from their batch position, sessions are independent,
+and cache hits are bit-identical to local solves.  For a fixed
+observed-seed sequence within one epoch, the harvested finding set
+equals ``ParallelExplorer(force_serial=True).explore_batch`` over the
+same seeds — with one worker, N workers, or the inline fallback
 (``tests/parallel/test_streaming.py`` asserts all three).
 
-Failure containment mirrors the batch engine's salvage — a worker
-process that dies has its in-flight jobs re-run on an in-process
-fallback worker (per-job determinism makes the salvage exact); a host
-that cannot fork at all runs the whole stream inline — and then goes
-further, because a *service* cannot let its pool shrink monotonically:
+Failure containment starts with salvage — a worker process that dies
+has its in-flight jobs re-run on an in-process fallback worker (per-job
+determinism makes the salvage exact); a host that cannot fork at all
+runs the whole stream inline — and then goes further, because a
+*service* cannot let its pool shrink monotonically:
 
 * a :class:`WorkerSupervisor` **respawns** dead workers at their slot
   with exponential backoff, deterministic jitter, and a per-slot restart
-  cap, re-shipping every node's current image to the replacement;
+  cap (``max_restarts=0`` means no respawn: the pool shrinks and the
+  inline fallback finishes), re-shipping every node's current image to
+  the replacement;
 * workers stamp a shared :class:`~repro.parallel.worker.ProgressBeacon`
   per job, so the coordinator's supervision sweep detects **hangs**: a
-  job running past ``job_deadline`` gets its worker killed and the job
-  re-dispatched under a bounded ``retry_budget``; past the budget it
-  lands in **quarantine** (recorded on the report) instead of wedging
-  the drain loop;
+  job running past ``job_deadline`` (``None`` means no hang sweep) gets
+  its worker killed and the job re-dispatched under a bounded
+  ``retry_budget``; past the budget it lands in **quarantine**
+  (recorded on the report) instead of wedging the drain loop;
 * the shared constraint cache **degrades gracefully** — dead shard
   managers are marked, skipped, and counted
   (:meth:`ShardedConstraintCache.info`), never raised through a solve;
@@ -73,7 +74,7 @@ further, because a *service* cannot let its pool shrink monotonically:
 Recovery never bends determinism: a retried or salvaged job re-derives
 the same strategy RNG from its per-node index, so the drained finding
 set under any non-quarantining fault schedule is identical to the
-fault-free (and serial, and batch) run.
+fault-free (and serial) run.
 
 **Service mode.**  A long-lived deployment is a *service*, not a batch
 job sized at launch, so the pool can be elastic and shared:
@@ -148,8 +149,8 @@ Seed = Tuple[str, UpdateMessage]
 
 #: ``(node, index)`` — the globally unique identity of one streamed job.
 #: Indices are assigned per node so each AS's sessions derive the same
-#: strategy RNG as that AS's batch jobs would, whatever else shares the
-#: pool.
+#: strategy RNG as that AS's jobs in the serial loop, whatever else
+#: shares the pool.
 JobKey = Tuple[str, int]
 
 # Worker-bound messages and worker-emitted results are small tagged
@@ -179,6 +180,24 @@ DEFAULT_TENANT = ""
 TENANT_SEP = "\x1f"
 
 
+def split_chunks(items: Sequence, count: int) -> List[list]:
+    """``items`` in ``count`` contiguous chunks (early chunks larger).
+
+    Chunking only moves *when* a seed enters the stream relative to the
+    epoch boundaries — per-node arrival order (and thus every job index)
+    is unchanged, which is why epoch-chunked streamed runs keep finding
+    parity with serial ones.
+    """
+    base, extra = divmod(len(items), count)
+    chunks: List[list] = []
+    cursor = 0
+    for i in range(count):
+        size = base + (1 if i < extra else 0)
+        chunks.append(list(items[cursor:cursor + size]))
+        cursor += size
+    return chunks
+
+
 @dataclass
 class StreamJob:
     """One seed's exploration session, shipped *without* its checkpoint.
@@ -186,9 +205,9 @@ class StreamJob:
     The checkpoint is resident in the worker (shipped once per epoch per
     node); the job names the ``(node, epoch)`` image it runs against.
     ``index`` is the seed's arrival number *within its node* — the
-    strategy RNG derives from it exactly as a batch job derives from its
-    batch position, which is what makes the stream's finding set equal
-    the batch engine's, per AS, even when many ASes share the pool.
+    strategy RNG derives from it exactly as a serial-loop job derives
+    from its batch position, which is what makes the stream's finding
+    set equal the loop's, per AS, even when many ASes share the pool.
     """
 
     index: int
@@ -260,8 +279,8 @@ class StreamReport(BatchReport):
 
     Reports land in *arrival* order; ``indices`` records each report's
     ``(node, index)`` job key so :meth:`reports_in_index_order` can
-    reconstruct the batch engine's per-node submission ordering for
-    comparison.
+    reconstruct each node's submission ordering — what a batch hands
+    back, and what the serial loop is compared on.
     """
 
     indices: List[JobKey] = field(default_factory=list)
@@ -347,9 +366,9 @@ class StreamReport(BatchReport):
     def checkpoint_bytes_per_job(self) -> float:
         """Average checkpoint transport cost per completed job.
 
-        The batch engine's equivalent is the full checkpoint pickle —
-        every job carries one — so this is the number to hold against
-        ``full_checkpoint_bytes`` when judging the shipping refactor.
+        Shipping the checkpoint inside every job would cost the full
+        pickle each time, so this is the number to hold against
+        ``full_checkpoint_bytes`` when judging image shipping.
         """
         if not self.reports:
             return float(self.checkpoint_bytes_shipped)
@@ -535,7 +554,7 @@ class _WorkerState:
         )
 
 
-def stream_worker_main(job_queue, result_queue, cache, beacon=None) -> None:
+def stream_worker_main(job_queue, result_queue, cache, beacon) -> None:
     """Entry point of one persistent streaming worker process.
 
     ``beacon`` (a :class:`~repro.parallel.worker.ProgressBeacon`) is
@@ -553,7 +572,7 @@ def stream_worker_main(job_queue, result_queue, cache, beacon=None) -> None:
             break
         if msg[0] == _MSG_STOP:
             break
-        stamped = beacon is not None and msg[0] == _MSG_JOB
+        stamped = msg[0] == _MSG_JOB
         if stamped:
             beacon.stamp(msg[1].seq)
         result = state.handle(msg)
@@ -569,15 +588,15 @@ def stream_worker_main(job_queue, result_queue, cache, beacon=None) -> None:
 class _ProcessWorker:
     """A persistent worker process and its dedicated FIFO job queue.
 
-    ``heartbeat=True`` (the supervised default) gives the worker a
-    :class:`ProgressBeacon` the supervision sweep reads for hang
-    detection.  ``images`` tracks which ``(node, epoch)`` images the
-    coordinator has shipped down this worker's queue — mirroring the
-    worker-side prune rule — so a retry referencing an older epoch can
-    be preceded by its retained base image instead of failing.
+    ``beacon`` is the :class:`ProgressBeacon` the supervision sweep
+    reads for hang detection.  ``images`` tracks which ``(node, epoch)``
+    images the coordinator has shipped down this worker's queue —
+    mirroring the worker-side prune rule — so a retry referencing an
+    older epoch can be preceded by its retained base image instead of
+    failing.
     """
 
-    def __init__(self, slot: int, result_queue, cache, heartbeat: bool = True) -> None:
+    def __init__(self, slot: int, result_queue, cache) -> None:
         self.slot = slot
         self.salvaged = False
         #: Graceful-shrink flag: a retiring worker takes no new jobs, and
@@ -587,9 +606,7 @@ class _ProcessWorker:
         #: Lifetime accounting for the worker-seconds economics.
         self.started_at = time.monotonic()
         self.accounted = False
-        self.beacon: Optional[ProgressBeacon] = (
-            ProgressBeacon() if heartbeat else None
-        )
+        self.beacon = ProgressBeacon()
         self.images: Set[Tuple[str, int]] = set()
         self.queue: multiprocessing.Queue = multiprocessing.Queue()
         self.process = multiprocessing.Process(
@@ -973,7 +990,6 @@ class StreamingExplorer:
         cache_shards: int = 0,
         coverage_guided: bool = True,
         as_rotation: str = "yield",
-        supervise: bool = True,
         heartbeat_interval: float = 0.05,
         job_deadline: Optional[float] = 300.0,
         retry_budget: int = 2,
@@ -985,7 +1001,6 @@ class StreamingExplorer:
         min_workers: Optional[int] = None,
         max_workers: Optional[int] = None,
         autoscale_interval: float = 0.05,
-        event_harvest: bool = True,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -1027,7 +1042,7 @@ class StreamingExplorer:
         #: blind per-peer round-robin.  Job indices are assigned at
         #: *submission*, so dispatch order never changes what any single
         #: session computes — the drained finding set stays identical to
-        #: the batch engine's whatever order the scheduler picks.
+        #: the serial loop's whatever order the scheduler picks.
         self.coverage_guided = coverage_guided
         #: Cross-AS dispatch policy for multi-node streams: "yield"
         #: rotates budget toward ASes whose recent sessions produced
@@ -1038,11 +1053,6 @@ class StreamingExplorer:
         self._fed_scheduler = (
             FederationScheduler() if as_rotation == "yield" else None
         )
-        #: Supervision: respawn dead workers and sweep for hangs.  Off,
-        #: the pool behaves exactly as before this layer existed (dies
-        #: shrink it permanently; hangs wedge drain) — kept for the
-        #: overhead benchmark and as an escape hatch.
-        self.supervise = supervise
         #: Minimum seconds between supervision sweeps (beacon reads).
         self.heartbeat_interval = heartbeat_interval
         #: Seconds a single job may run (or its result may be missing)
@@ -1084,9 +1094,6 @@ class StreamingExplorer:
             raise ValueError(
                 "min_workers/max_workers require autoscale=True"
             )
-        #: Event-driven wait: block on the result-queue pipe and worker
-        #: sentinels with computed timeouts instead of a fixed sleep.
-        self.event_harvest = event_harvest
         #: Dispatch seq -> JobKey, the beacon protocol's reverse map.
         self._seq_keys: Dict[int, JobKey] = {}
         self._next_seq = 0
@@ -1193,12 +1200,7 @@ class StreamingExplorer:
                 self._result_queue = multiprocessing.Queue()
                 for slot in range(initial):
                     self._workers.append(
-                        _ProcessWorker(
-                            slot,
-                            self._result_queue,
-                            self._cache,
-                            heartbeat=self.supervise,
-                        )
+                        _ProcessWorker(slot, self._result_queue, self._cache)
                     )
                 self.report.used_processes = True
             except (OSError, PermissionError, ValueError) as exc:
@@ -1289,6 +1291,47 @@ class StreamingExplorer:
                 self._ship(self._fallback, self._current[scoped])
                 self._fallback_images.add((scoped, 0))
         return self
+
+    def explore_corpus(
+        self,
+        live_routers: Dict[str, BgpRouter],
+        corpus: Dict[str, Sequence[Seed]],
+        epochs: int = 1,
+        churn_threshold: Optional[int] = None,
+    ) -> StreamReport:
+        """The whole lifecycle over a finite per-node corpus.
+
+        Starts the pool on ``live_routers``, feeds each node's seeds in
+        ``epochs`` chunks — every boundary re-checkpoints each node and
+        ships its delta (or, with ``churn_threshold``, only for nodes
+        churned past it; quiet nodes keep their epoch) — and closes.
+        This is what a multi-process batch and a streamed federated
+        exploration both are.  A finite corpus is explored in full, so
+        the pending queues are sized to hold it: nothing coalesces.
+        """
+        self.queue_capacity = max(
+            [self.queue_capacity, *(len(seeds) for seeds in corpus.values())]
+        )
+        self.start_nodes(live_routers)
+        try:
+            chunks = {
+                node: split_chunks(seeds, epochs)
+                for node, seeds in corpus.items()
+            }
+            for chunk_index in range(epochs):
+                if chunk_index > 0:
+                    for node in sorted(corpus):
+                        self.advance_epoch(
+                            node, churn_threshold=churn_threshold
+                        )
+                for node in corpus:
+                    for peer, update in chunks[node][chunk_index]:
+                        self.submit(peer, update, node=node)
+        finally:
+            # close() drains by default, so the report is complete even
+            # when a submit raises mid-corpus.
+            report = self.close()
+        return report
 
     def __enter__(self) -> "StreamingExplorer":
         if not self._started:
@@ -1654,9 +1697,9 @@ class StreamingExplorer:
                 continue
             if self._supervisor.pending:
                 break  # the pool is coming back; hold the retries
-            # Pool permanently gone (restart caps exhausted, or
-            # supervision off): quarantine hang suspects, run the
-            # innocent bystanders inline like any other salvage.
+            # Pool permanently gone (restart caps exhausted):
+            # quarantine hang suspects, run the innocent bystanders
+            # inline like any other salvage.
             self._retry_queue.popleft()
             if self._hang_retries.get(job.key, 0) > 0:
                 self._quarantine(
@@ -1766,17 +1809,13 @@ class StreamingExplorer:
 
     # -- supervision ---------------------------------------------------------
 
-    def _note_death(self, slot: int) -> None:
-        if self.supervise:
-            self._supervisor.note_death(slot, time.monotonic())
-
     def _supervise(self) -> bool:
         """One supervision sweep: hang detection, then due respawns.
 
         Rate-limited to ``heartbeat_interval`` so the per-collect cost
         is a clock read on the hot path.
         """
-        if not self.supervise or self._result_queue is None:
+        if self._result_queue is None:
             return False
         now = time.monotonic()
         if now - self._last_sweep < self.heartbeat_interval:
@@ -1794,7 +1833,7 @@ class StreamingExplorer:
         for worker in list(self._workers):
             if not isinstance(worker, _ProcessWorker):
                 continue
-            if not worker.alive or worker.salvaged or worker.beacon is None:
+            if not worker.alive or worker.salvaged:
                 continue
             stamp, seq = worker.beacon.read()
             if seq >= 0:
@@ -1874,7 +1913,7 @@ class StreamingExplorer:
             # A retiring worker's death is the reap's business (clean
             # retire or salvage); booking a respawn would undo the
             # shrink the autoscaler just decided on.
-            self._note_death(worker.slot)
+            self._supervisor.note_death(worker.slot, time.monotonic())
         if not self._alive_process_workers() and not self._supervisor.pending:
             self.report.used_processes = False
 
@@ -1884,7 +1923,7 @@ class StreamingExplorer:
         for slot in self._supervisor.due_slots(now):
             try:
                 replacement = _ProcessWorker(
-                    slot, self._result_queue, self._cache, heartbeat=True
+                    slot, self._result_queue, self._cache
                 )
             except (OSError, PermissionError, ValueError) as exc:
                 if not self._supervisor.respawn_failed(slot, now):
@@ -1982,9 +2021,7 @@ class StreamingExplorer:
         # A fresh logical worker at this position: no restart history.
         self._supervisor.reset_slot(slot)
         try:
-            worker = _ProcessWorker(
-                slot, self._result_queue, self._cache, heartbeat=self.supervise
-            )
+            worker = _ProcessWorker(slot, self._result_queue, self._cache)
         except (OSError, PermissionError, ValueError) as exc:
             self.report.errors.append(
                 f"autoscale grow at slot {slot} failed: "
@@ -2101,25 +2138,20 @@ class StreamingExplorer:
 
         The event-driven wait must return in time for whatever the
         coordinator owes next: a due respawn, the next hang sweep, an
-        overdue-job deadline, the next autoscale tick.  The cap bounds
-        clock drift when nothing is due.
+        overdue-job deadline, the next autoscale tick.
         """
-        deadlines = []
+        deadlines = [self._last_sweep + self.heartbeat_interval]
         due = self._supervisor.next_due()
         if due is not None:
             deadlines.append(due)
-        if self.supervise:
-            deadlines.append(self._last_sweep + self.heartbeat_interval)
-            if self.job_deadline is not None and self._dispatched_at:
-                deadlines.append(
-                    min(self._dispatched_at.values()) + self.job_deadline
-                )
+        if self.job_deadline is not None and self._dispatched_at:
+            deadlines.append(
+                min(self._dispatched_at.values()) + self.job_deadline
+            )
         if self._autoscaler is not None:
             tick = self._autoscaler.next_tick()
             if tick is not None:
                 deadlines.append(tick)
-        if not deadlines:
-            return cap
         return max(0.0, min(min(deadlines) - now, cap))
 
     def _wait_events(self, max_wait: float) -> None:
@@ -2157,7 +2189,7 @@ class StreamingExplorer:
         progressed = False
         self._touch_wall()
         if self._result_queue is not None:
-            if block_seconds > 0.0 and self.event_harvest:
+            if block_seconds > 0.0:
                 self._wait_events(block_seconds)
                 # The wait already slept; take whatever landed with a
                 # tiny grace for the queue's feeder latency.
@@ -2318,16 +2350,16 @@ class StreamingExplorer:
                     f"worker {worker.slot} died; in-flight jobs re-run in-process"
                 )
             self._account_worker(worker)
-            self._note_death(worker.slot)
+            self._supervisor.note_death(worker.slot, time.monotonic())
             salvaged = True
         if (
             salvaged
             and not self._alive_process_workers()
             and not self._supervisor.pending
         ):
-            # The pool is gone for good (supervision off, or restart
-            # caps exhausted).  With a respawn booked the flag stays up:
-            # the stream is still a process pool, just momentarily short.
+            # The pool is gone for good (restart caps exhausted).  With
+            # a respawn booked the flag stays up: the stream is still a
+            # process pool, just momentarily short.
             self.report.used_processes = False
         return salvaged
 
@@ -2505,10 +2537,7 @@ class StreamingExplorer:
             if remaining is not None and remaining <= 0:
                 break
             budget = 0.25 if remaining is None else min(0.25, remaining)
-            if self.event_harvest:
-                self._wait_events(budget)
-            else:
-                time.sleep(min(budget, 0.05))
+            self._wait_events(budget)
         return list(self.report.reports[before:])
 
     def drain(
@@ -2534,12 +2563,10 @@ class StreamingExplorer:
                 and self._result_queue is not None
                 and (self._inflight or self._supervisor.pending)
             ):
-                # Stuck until something external happens.  Event mode
-                # blocks on the result pipe/worker sentinels up to the
-                # next computed deadline; legacy mode keeps the fixed
-                # 50ms nap.
-                stall = 0.25 if self.event_harvest else 0.05
-                self._collect(pump_inline=True, block_seconds=stall)
+                # Stuck until something external happens: block on the
+                # result pipe/worker sentinels up to the next computed
+                # deadline.
+                self._collect(pump_inline=True, block_seconds=0.25)
             if progress is not None and (
                 time.monotonic() - last_progress >= progress_interval
             ):

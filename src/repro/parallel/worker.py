@@ -1,14 +1,10 @@
 """Picklable work units and the functions worker processes execute.
 
 A worker receives everything a checkpoint-clone-explore session needs as
-one picklable job object and returns a transport-compacted report.  Two
-job shapes:
-
-* :class:`SessionJob` — a full DiCE session: restore the checkpoint into
-  an isolated clone, rebuild the marking model from the observed seed,
-  explore the UPDATE handler, run the fault checkers;
-* :class:`EngineJob` — a raw concolic exploration of an importable
-  program (benchmarks and the fig1-style workloads use this).
+one picklable job object and returns a transport-compacted report.
+:class:`SessionJob` is a full DiCE session: restore the checkpoint into
+an isolated clone, rebuild the marking model from the observed seed,
+explore the UPDATE handler, run the fault checkers.
 
 Workers build their *own* engine, solver, checkers, and strategy from
 the job description rather than receiving live objects: every stateful
@@ -31,11 +27,11 @@ import copy
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.bgp.messages import UpdateMessage
 from repro.checkpoint.snapshot import Checkpoint
-from repro.concolic.engine import ConcolicEngine, ExplorationBudget, ExplorationReport, InputSpec
+from repro.concolic.engine import ConcolicEngine, ExplorationBudget
 from repro.concolic.solver import ConstraintSolver
 from repro.concolic.strategies import make_strategy
 from repro.core.checkers import FaultChecker, default_checkers
@@ -110,44 +106,19 @@ class SessionJob:
     cache: Optional[object] = None
     #: Federation node this session belongs to ("" for single-node runs).
     #: Pure provenance — it never feeds the strategy RNG, so a session is
-    #: bit-identical whether it ran in a per-AS pool or the shared one.
+    #: bit-identical whichever other nodes share its pool.
     node: str = ""
-
-
-@dataclass
-class EngineJob:
-    """One raw concolic exploration of an importable program."""
-
-    index: int
-    program: Callable
-    spec: InputSpec
-    budget: Optional[ExplorationBudget] = None
-    strategy: str = "generational"
-    strategy_seed: int = 0
-    cache: Optional[object] = None
-
-
-def _session_solver(job) -> ConstraintSolver:
-    """A private solver wired to the (optional) shared cache.
-
-    ``deterministic_rng`` keeps the solver a pure function of each query
-    so shared-cache entries equal local solves — the invariant behind
-    worker-count-independent results.
-    """
-    return ConstraintSolver(cache=job.cache, deterministic_rng=True)
-
-
-def _job_strategy(job):
-    """Seeded per job *index*, not per worker, so placement is irrelevant."""
-    return make_strategy(
-        job.strategy, seed=derive_seed(job.strategy_seed, "parallel-job", job.index)
-    )
 
 
 def run_session_job(job: SessionJob) -> SessionReport:
     """Execute one full DiCE session; the worker-process entry point."""
-    engine = ConcolicEngine(solver=_session_solver(job), keep_results=False)
-    # Deep copy: under the serial executor jobs are never pickled, so a
+    # A private solver wired to the (optional) shared cache.
+    # ``deterministic_rng`` keeps the solver a pure function of each
+    # query, so shared-cache entries equal local solves — the invariant
+    # behind worker-count-independent results.
+    solver = ConstraintSolver(cache=job.cache, deterministic_rng=True)
+    engine = ConcolicEngine(solver=solver, keep_results=False)
+    # Deep copy: in the serial loop jobs are never pickled, so a
     # plain list() would hand the same (possibly stateful) checker
     # instances to every session — and make serial and multi-process
     # runs diverge for checkers that accumulate state across check().
@@ -168,22 +139,13 @@ def run_session_job(job: SessionJob) -> SessionReport:
         job.observed,
         model=model,
         budget=job.budget,
-        strategy=_job_strategy(job),
+        # Seeded per job *index*, not per worker: placement is irrelevant.
+        strategy=make_strategy(
+            job.strategy,
+            seed=derive_seed(job.strategy_seed, "parallel-job", job.index),
+        ),
         checkpoint=job.checkpoint,
     )
     report.solver_stats = engine.solver.stats.as_dict()
     report.node = job.node
-    return report.compact()
-
-
-def run_engine_job(job: EngineJob) -> ExplorationReport:
-    """Execute one raw exploration; used by benchmarks and tests."""
-    engine = ConcolicEngine(solver=_session_solver(job), keep_results=False)
-    report = engine.explore(
-        job.program,
-        job.spec,
-        strategy=_job_strategy(job),
-        budget=job.budget,
-    )
-    report.solver_stats = engine.solver.stats.as_dict()
     return report.compact()

@@ -106,13 +106,3 @@ class TestChaosRequiresTheSharedStreamPool:
                 budget=BUDGET,
                 chaos=get_chaos_plan("kill-one-worker"),
             )
-
-    def test_legacy_per_as_pools_rejected(self, line3_built):
-        with pytest.raises(ExplorationError, match="shared_pool=True"):
-            line3_built.federation().explore(
-                line3_built.seed_corpus(),
-                budget=BUDGET,
-                stream=True,
-                shared_pool=False,
-                chaos=get_chaos_plan("kill-one-worker"),
-            )

@@ -110,20 +110,6 @@ class TestSharedFederationPool:
         # The unfiltered tiered federation yields findings everywhere.
         assert any(gain > 0 for gain in report.scheduler_yield.values())
 
-    def test_legacy_per_as_pools_still_available_for_comparison(
-        self, tiered_built, serial_report
-    ):
-        report = tiered_built.federation().explore(
-            tiered_built.seed_corpus(),
-            budget=BUDGET,
-            workers=1,
-            stream=True,
-            force_serial=True,
-            shared_pool=False,
-        )
-        assert report.pools == len(tiered_built.routers)
-        assert report.finding_keys() == serial_report.finding_keys()
-
     def test_sessions_carry_node_provenance(self, tiered_built):
         report = tiered_built.federation().explore(
             tiered_built.seed_corpus(),

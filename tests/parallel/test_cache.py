@@ -146,17 +146,17 @@ class TestDictConstraintCache:
 
 class TestSharedConstraintCache:
     def test_l1_fronts_shared_dict(self):
-        from repro.parallel.cache import SharedConstraintCache
+        from repro.parallel.cache import ShardedConstraintCache
 
-        cache = SharedConstraintCache({})  # a plain dict quacks like the proxy
+        cache = ShardedConstraintCache([{}])  # a plain dict quacks like the proxy
         cache.put(b"k", ("unsat",))
         assert cache.get(b"k") == ("unsat",)
         assert cache.hits == 1
 
     def test_pickling_drops_local_layer(self):
-        from repro.parallel.cache import SharedConstraintCache
+        from repro.parallel.cache import ShardedConstraintCache
 
-        cache = SharedConstraintCache({})
+        cache = ShardedConstraintCache([{}])
         cache.put(b"k", ("unsat",))
         clone = pickle.loads(pickle.dumps(cache))
         # The shared layer travelled (here: by value, being a plain dict);
@@ -165,11 +165,17 @@ class TestSharedConstraintCache:
         assert clone.get(b"k") == ("unsat",)
 
     def test_survives_dead_manager(self):
-        from repro.parallel.cache import SharedConstraintCache, shared_cache
+        from repro.parallel.cache import (
+            shutdown_cache_managers,
+            start_sharded_cache,
+        )
 
-        with shared_cache() as cache:
+        cache, managers = start_sharded_cache(1)
+        try:
             cache.put(b"k", ("unknown",))
             assert cache.get(b"k") == ("unknown",)
+        finally:
+            shutdown_cache_managers(managers)
         # Manager gone: reads degrade to the L1, writes don't raise.
         assert cache.get(b"k") == ("unknown",)
         cache.put(b"j", ("unsat",))

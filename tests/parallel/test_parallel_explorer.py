@@ -1,8 +1,8 @@
-"""Tests for ParallelExplorer, EngineBatch, and the DiCE/schedule wiring.
+"""Tests for ParallelExplorer and the DiCE/schedule wiring.
 
 The determinism tests implement the PR's acceptance requirement: the
 same seeds + budget produce the same deduped finding set with 1 worker,
-4 workers, and the in-process fallback executor.
+4 workers, and the forced in-process loop.
 """
 
 import pickle
@@ -16,12 +16,10 @@ from repro.concolic.engine import ExplorationBudget
 from repro.core.dice import DiCE
 from repro.core.report import SessionReport
 from repro.core.schedule import OnlineScheduler, ScheduleConfig
-from repro.parallel import EngineBatch, ParallelExplorer
-from repro.parallel.workloads import (
-    FIG1_OUTCOMES,
-    fig1_handler,
-    fig1_spec,
-)
+from repro.core import get_scenario
+from repro.core.scenario import synthesize_hijack_corpus
+from repro.parallel import ParallelExplorer
+from repro.parallel import stream as stream_module
 from repro.util.errors import ExplorationError
 from repro.util.ip import Prefix, ip_to_int
 
@@ -201,35 +199,107 @@ class TestSchedulerParallel:
         assert len(dice.rounds) >= 1
 
 
-class TestEngineBatch:
-    def test_fig1_workload_full_coverage(self):
-        batch = EngineBatch(workers=2)
-        reports, wall = batch.explore(
-            [(fig1_handler, fig1_spec())] * 2,
-            budget=ExplorationBudget(max_executions=128),
-        )
-        assert wall > 0
-        for report in reports:
-            assert report.unique_paths >= len(FIG1_OUTCOMES)
+class TestPoolFacade:
+    """One decision: in process for one worker or ``force_serial``, else
+    the batch rides the streaming pool."""
 
-    def test_identical_jobs_hit_shared_cache(self):
-        batch = EngineBatch(workers=1, constraint_cache=True)
-        reports, _ = batch.explore(
-            [(fig1_handler, fig1_spec())] * 3,
-            budget=ExplorationBudget(max_executions=64),
-        )
-        hits = sum(r.solver_stats.get("cache_hits", 0) for r in reports)
-        assert hits > 0
-        # Later sessions replay the first session's queries from cache.
-        assert reports[1].solver_stats["cache_hits"] > 0
+    @pytest.mark.parametrize("workers, force_serial", [(1, False), (4, True)])
+    def test_in_process_loop_never_touches_the_pool(
+        self, erroneous_scenario, monkeypatch, workers, force_serial
+    ):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the in-process loop built a pool")
 
-    def test_engine_batch_deterministic_across_modes(self):
-        def run(workers, force_serial):
-            batch = EngineBatch(workers=workers, force_serial=force_serial)
-            reports, _ = batch.explore(
-                [(fig1_handler, fig1_spec())] * 2,
-                budget=ExplorationBudget(max_executions=64),
+        monkeypatch.setattr(stream_module.StreamingExplorer, "__init__", refuse)
+        seed = batch_seeds(erroneous_scenario, count=1)
+        batch = ParallelExplorer(
+            workers=workers, force_serial=force_serial
+        ).explore_batch(erroneous_scenario.provider, seed * 3, budget=BUDGET)
+        assert not batch.used_processes
+        assert batch.fallback_reason == ""
+        # The loop's sessions share one constraint cache: an identical
+        # later session replays the first one's queries from it.
+        assert batch.reports[1].solver_stats["cache_hits"] > 0
+
+    def test_unforkable_host_falls_back_inline(self, erroneous_scenario, monkeypatch):
+        """No worker process can start: the batch still completes, says
+        why it ran in process, and finds what the serial loop finds."""
+
+        def refuse(self, *args, **kwargs):
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(stream_module._ProcessWorker, "__init__", refuse)
+        seeds = batch_seeds(erroneous_scenario, count=4)
+        batch = ParallelExplorer(workers=2).explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET
+        )
+        serial = ParallelExplorer(workers=2, force_serial=True).explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET
+        )
+        assert not batch.used_processes
+        assert "fork refused" in batch.fallback_reason
+        assert len(batch.reports) == len(seeds)
+        assert finding_keys(batch) == finding_keys(serial)
+
+    def test_failed_job_fails_the_batch(self, erroneous_scenario):
+        """A stream records a lost job and moves on; a batch must not
+        hand back fewer reports than seeds without saying so."""
+
+        class UnpicklableChecker:
+            def __getstate__(self):
+                raise TypeError("deliberately unpicklable")
+
+            def check(self, ctx):
+                return []
+
+        explorer = ParallelExplorer(workers=2, checkers=[UnpicklableChecker()])
+        with pytest.raises(ExplorationError, match="picklable"):
+            explorer.explore_batch(
+                erroneous_scenario.provider,
+                batch_seeds(erroneous_scenario, count=2),
+                budget=BUDGET,
             )
-            return [(r.executions, r.unique_paths) for r in reports]
 
-        assert run(1, False) == run(4, False) == run(4, True)
+    def test_explore_nodes_shares_one_two_worker_pool(self, monkeypatch):
+        """8 ASes, workers=2 → 2 worker processes, per-node reports in
+        index order, identical to the serial loop's."""
+        built = get_scenario("tiered-8").build(seed=7)
+        built.converge()
+        by_node = {}
+        for node, peer, update in synthesize_hijack_corpus(built.graph, 7, per_as=2):
+            by_node.setdefault(node, []).append((peer, update))
+        node_batches = [
+            (node, built.routers[node], seeds) for node, seeds in by_node.items()
+        ]
+
+        spawned = []
+        original = stream_module._ProcessWorker.__init__
+
+        def counting_init(self, *args, **kwargs):
+            spawned.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(stream_module._ProcessWorker, "__init__", counting_init)
+        pooled = ParallelExplorer(workers=2).explore_nodes(node_batches, budget=BUDGET)
+        serial = ParallelExplorer(workers=2, force_serial=True).explore_nodes(
+            node_batches, budget=BUDGET
+        )
+        if not all(batch.used_processes for batch in pooled.values()):
+            pytest.skip("no process workers on this host")
+        assert len(spawned) == 2
+        assert list(pooled) == list(serial) == list(by_node)
+
+        def sessions(batch):
+            return [
+                (
+                    report.node,
+                    report.peer,
+                    report.exploration.unique_paths,
+                    frozenset(f.dedup_key() for f in report.findings),
+                )
+                for report in batch.reports
+            ]
+
+        for node, seeds in by_node.items():
+            assert [r.peer for r in pooled[node].reports] == [p for p, _ in seeds]
+            assert sessions(pooled[node]) == sessions(serial[node])

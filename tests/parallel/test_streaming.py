@@ -282,15 +282,15 @@ class TestWorkerSalvage:
         """Per-job determinism makes the salvage exact: killing a worker
         mid-stream loses no seeds and changes no findings.
 
-        ``supervise=False`` pins the pre-supervisor contract — the pool
-        shrinks permanently and the inline fallback finishes the stream;
-        the supervised flavor (pool restored, ``used_processes`` stays
-        True) lives in ``tests/parallel/test_chaos.py``."""
+        ``max_restarts=0`` books no respawn — the pool shrinks
+        permanently and the inline fallback finishes the stream; the
+        respawning flavor (pool restored, ``used_processes`` stays True)
+        lives in ``tests/parallel/test_chaos.py``."""
         seeds = erroneous_scenario.dice.batch_seeds(all_seeds=True)[:4]
         baseline = run_stream(erroneous_scenario.provider, seeds, 1, True)
 
         stream = StreamingExplorer(
-            workers=1, budget=BUDGET, queue_capacity=len(seeds), supervise=False
+            workers=1, budget=BUDGET, queue_capacity=len(seeds), max_restarts=0
         )
         stream.start(erroneous_scenario.provider)
         if not stream.report.used_processes:
