@@ -726,55 +726,54 @@ class FederatedExploration:
             raise ExplorationError(
                 f"stream_epochs must be >= 1, got {stream_epochs}"
             )
-        if chaos is not None and not stream:
-            raise ExplorationError(
-                "chaos injection targets the shared streaming pool; "
-                "it requires stream=True"
-            )
-        if epoch_churn is not None and not stream:
-            raise ExplorationError(
-                "epoch_churn gates the shared stream's epoch boundaries; "
-                "it requires stream=True"
-            )
-        if autoscale and not stream:
-            raise ExplorationError(
-                "autoscale elasticizes the shared streaming pool; "
-                "it requires stream=True"
-            )
+        for option, given in (
+            ("chaos", chaos is not None),
+            ("epoch_churn", epoch_churn is not None),
+            ("autoscale", autoscale),
+        ):
+            if given and not stream:
+                raise ExplorationError(
+                    f"{option} acts on the shared streaming pool; "
+                    f"it requires stream=True"
+                )
         unknown = sorted({node for node, _, _ in seeds} - set(self.routers))
         if unknown:
             raise ExplorationError(f"seeds reference unknown nodes: {unknown}")
         started = time.perf_counter()
-        by_node: Dict[str, List[Tuple[str, UpdateMessage]]] = {}
-        for node, peer, update in seeds:
-            by_node.setdefault(node, []).append((peer, update))
-
-        scheduler_yield: Dict[str, float] = {}
-        stream_summary: Optional[Dict[str, object]] = None
+        by_node = _seeds_by_node(seeds)
         if stream:
-            per_as, used_processes, scheduler_yield, stream_summary = (
-                self._explore_streamed(
-                    by_node, budget, workers, policy, strategy, strategy_seed,
-                    force_serial, as_rotation, stream_epochs, chaos,
-                    epoch_churn, autoscale, autoscale_interval,
-                )
+            pipeline = _stream_corpora(
+                {"": (self, by_node)},  # the default tenant
+                stream_epochs, epoch_churn,
+                workers=workers, policy=policy, strategy=strategy,
+                strategy_seed=strategy_seed, budget=budget,
+                force_serial=force_serial, as_rotation=as_rotation,
+                chaos=chaos, autoscale=autoscale,
+                autoscale_interval=autoscale_interval,
+            )
+            report = self._report(
+                seeds, by_node, max_rounds, workers, pipeline.report,
+                pipeline.federation_yields(),
             )
         else:
-            per_as, used_processes = self._explore_batched(
-                by_node, budget, workers, policy, strategy, strategy_seed,
-                force_serial,
-            )
+            from repro.parallel.explorer import ParallelExplorer
 
-        fabric = self._fabric(max_rounds)
-        report = self._wave(fabric, seeds)
-        report.per_as_sessions = per_as
-        report.sessions = [r for reports in per_as.values() for r in reports]
-        report.workers = workers
-        report.streamed = stream
-        report.used_processes = used_processes
-        report.pools = 1
-        report.scheduler_yield = scheduler_yield
-        report.stream_summary = stream_summary
+            batches = ParallelExplorer(
+                workers=workers, policy=policy, strategy=strategy,
+                strategy_seed=strategy_seed, force_serial=force_serial,
+            ).explore_nodes(
+                [(node, self.routers[node], node_seeds)
+                 for node, node_seeds in by_node.items()],
+                budget=budget,
+            )
+            report = self._report(
+                seeds,
+                {node: list(batch.reports) for node, batch in batches.items()},
+                max_rounds, workers,
+            )
+            report.used_processes = any(
+                batch.used_processes for batch in batches.values()
+            )
         if workload is not None:
             report.workload_findings, report.workload_stats = (
                 self.run_workload(workload, max_rounds=max_rounds)
@@ -783,77 +782,28 @@ class FederatedExploration:
         report.wall_seconds = time.perf_counter() - started
         return report
 
-    def _explore_batched(
-        self, by_node, budget, workers, policy, strategy, strategy_seed,
-        force_serial,
-    ) -> Tuple[Dict[str, List[SessionReport]], bool]:
-        from repro.parallel.explorer import ParallelExplorer
-
-        explorer = ParallelExplorer(
-            workers=workers,
-            policy=policy,
-            strategy=strategy,
-            strategy_seed=strategy_seed,
-            force_serial=force_serial,
-        )
-        batches = explorer.explore_nodes(
-            [(node, self.routers[node], node_seeds)
-             for node, node_seeds in by_node.items()],
-            budget=budget,
-        )
-        per_as = {node: list(batch.reports) for node, batch in batches.items()}
-        used = any(batch.used_processes for batch in batches.values())
-        return per_as, used
-
-    def _explore_streamed(
-        self, by_node, budget, workers, policy, strategy, strategy_seed,
-        force_serial, as_rotation, stream_epochs, chaos=None,
-        epoch_churn=None, autoscale=False, autoscale_interval=0.05,
-    ) -> Tuple[Dict[str, List[SessionReport]], bool, Dict[str, float],
-               Dict[str, object]]:
-        """One shared streaming pool for the whole federation.
-
-        Every AS's epoch-0 image ships to the same ``workers`` worker
-        processes; seeds enter node-tagged (per-node arrival indices keep
-        batch parity), epoch boundaries ship per-node deltas, and the
-        cross-AS dispatch rotation is the :class:`FederationScheduler`.
-        """
-        from repro.parallel.stream import StreamingExplorer
-
-        pipeline = StreamingExplorer(
-            workers=workers,
-            policy=policy,
-            strategy=strategy,
-            strategy_seed=strategy_seed,
-            budget=budget,
-            force_serial=force_serial,
-            # Dispatch seeds in per-node arrival order: coverage-guided
-            # reordering is profitable for open-ended streams, but a
-            # federated corpus is finite and parity with the serial
-            # loop's per-index sessions is what matters here.  Cross-AS
-            # rotation (as_rotation) is still free to reorder across
-            # nodes — indices are fixed at submission.
-            coverage_guided=False,
-            as_rotation=as_rotation,
-            chaos=chaos,
-            autoscale=autoscale,
-            autoscale_interval=autoscale_interval,
-        )
-        stream_report = pipeline.explore_corpus(
-            {node: self.routers[node] for node in by_node},
-            by_node,
-            epochs=stream_epochs,
-            churn_threshold=epoch_churn,
-        )
-        per_as = {
-            node: stream_report.reports_in_index_order(node) for node in by_node
-        }
-        return (
-            per_as,
-            stream_report.used_processes,
-            pipeline.federation_yields(),
-            stream_report.summary(),
-        )
+    def _report(
+        self, seeds, per_as, max_rounds, workers, streamed=None,
+        scheduler_yield=None,
+    ) -> FederatedReport:
+        """The system-wide wave over this federation's own fresh fabric,
+        carrying the per-AS sessions — read, with the pool's provenance,
+        from the ``streamed`` report when there is one (``per_as`` need
+        then only be keyed by the explored nodes)."""
+        report = self._wave(self._fabric(max_rounds), seeds)
+        if streamed is not None:
+            per_as = {
+                node: streamed.reports_in_index_order(node) for node in per_as
+            }
+            report.streamed = True
+            report.used_processes = streamed.used_processes
+            report.scheduler_yield = scheduler_yield
+            report.stream_summary = streamed.summary()
+        report.per_as_sessions = per_as
+        report.sessions = [r for reports in per_as.values() for r in reports]
+        report.workers = workers
+        report.pools = 1
+        return report
 
     def _wave(
         self, fabric: IsolatedFabric, seeds: Sequence[FederatedSeed]
@@ -913,6 +863,44 @@ class FederatedExploration:
         return findings
 
 
+def _seeds_by_node(
+    seeds: Sequence[FederatedSeed],
+) -> Dict[str, List[Tuple[str, UpdateMessage]]]:
+    by_node: Dict[str, List[Tuple[str, UpdateMessage]]] = {}
+    for node, peer, update in seeds:
+        by_node.setdefault(node, []).append((peer, update))
+    return by_node
+
+
+def _stream_corpora(corpora, epochs, churn_threshold, **pool_options):
+    """Feed ``{tenant: (exploration, seeds by node)}`` through **one**
+    shared streaming pool; returns the closed pipeline.
+
+    Every AS's epoch-0 image ships to the same worker processes; seeds
+    enter node-tagged (per-node arrival indices keep batch parity),
+    epoch boundaries ship per-node deltas.  Seeds dispatch in per-node
+    arrival order: coverage-guided reordering pays on open-ended
+    streams, but a federated corpus is finite and parity with the
+    serial loop's per-index sessions is what matters here.  Cross-AS
+    rotation (``as_rotation``) may still reorder across nodes — indices
+    are fixed at submission.
+    """
+    from repro.parallel.stream import StreamingExplorer
+
+    pipeline = StreamingExplorer(coverage_guided=False, **pool_options)
+    pipeline.explore_corpus(
+        {
+            tenant: (
+                {node: exploration.routers[node] for node in by_node}, by_node
+            )
+            for tenant, (exploration, by_node) in corpora.items()
+        },
+        epochs=epochs,
+        churn_threshold=churn_threshold,
+    )
+    return pipeline
+
+
 def explore_tenants(
     tenants: Dict[str, Tuple[FederatedExploration, Sequence[FederatedSeed]]],
     budget: Optional[ExplorationBudget] = None,
@@ -945,12 +933,10 @@ def explore_tenants(
     fabric) is byte-identical to the report the same scenario would
     produce running the pool alone.  Returns ``(per-tenant reports,
     shared-pool summary)`` — the summary is the pool's global
-    :meth:`~repro.parallel.stream.StreamReport.summary`, where the
+    :meth:`~repro.parallel.reports.StreamReport.summary`, where the
     service-level counters (pool sizing, resize events, per-tenant job
     counts) live.
     """
-    from repro.parallel.stream import StreamingExplorer, split_chunks
-
     if not tenants:
         raise ExplorationError("explore_tenants needs at least one tenant")
     for name, (exploration, seeds) in tenants.items():
@@ -971,88 +957,24 @@ def explore_tenants(
         )
 
     started = time.perf_counter()
-    by_tenant_node: Dict[str, Dict[str, List[Tuple[str, UpdateMessage]]]] = {}
-    for name, (_, seeds) in tenants.items():
-        by_node: Dict[str, List[Tuple[str, UpdateMessage]]] = {}
-        for node, peer, update in seeds:
-            by_node.setdefault(node, []).append((peer, update))
-        by_tenant_node[name] = by_node
-
-    capacity = max(
-        (len(node_seeds)
-         for by_node in by_tenant_node.values()
-         for node_seeds in by_node.values()),
-        default=1,
-    )
-    pipeline = StreamingExplorer(
-        workers=workers,
-        policy=policy,
-        strategy=strategy,
-        strategy_seed=strategy_seed,
-        budget=budget,
-        queue_capacity=capacity,
-        force_serial=force_serial,
-        coverage_guided=False,  # finite corpora: parity over reordering
-        as_rotation="yield",
-        chaos=chaos,
-        autoscale=autoscale,
+    corpora = {
+        name: (exploration, _seeds_by_node(seeds))
+        for name, (exploration, seeds) in tenants.items()
+    }
+    pipeline = _stream_corpora(
+        corpora, stream_epochs, epoch_churn,
+        workers=workers, policy=policy, strategy=strategy,
+        strategy_seed=strategy_seed, budget=budget, force_serial=force_serial,
+        as_rotation="yield", chaos=chaos, autoscale=autoscale,
         autoscale_interval=autoscale_interval,
     )
-    names = list(tenants)
-    first = names[0]
-    pipeline.start_nodes(
-        {node: tenants[first][0].routers[node]
-         for node in by_tenant_node[first]},
-        tenant=first,
-    )
-    try:
-        for name in names[1:]:
-            pipeline.add_tenant(
-                name,
-                {node: tenants[name][0].routers[node]
-                 for node in by_tenant_node[name]},
-            )
-        chunks = {
-            name: {
-                node: split_chunks(node_seeds, stream_epochs)
-                for node, node_seeds in by_node.items()
-            }
-            for name, by_node in by_tenant_node.items()
-        }
-        for chunk_index in range(stream_epochs):
-            if chunk_index > 0:
-                for name in names:
-                    for node in sorted(by_tenant_node[name]):
-                        pipeline.advance_epoch(
-                            node, tenant=name, churn_threshold=epoch_churn
-                        )
-            # Interleave tenants within each chunk so the fair-dispatch
-            # rotation has real cross-tenant contention to arbitrate.
-            for name in names:
-                for node in by_tenant_node[name]:
-                    for peer, update in chunks[name][node][chunk_index]:
-                        pipeline.submit(peer, update, node=node, tenant=name)
-    finally:
-        pool_report = pipeline.close()
-
     reports: Dict[str, FederatedReport] = {}
-    for name in names:
-        exploration, seeds = tenants[name]
-        treport = pipeline.tenant_report(name)
-        per_as = {
-            node: treport.reports_in_index_order(node)
-            for node in by_tenant_node[name]
-        }
-        fabric = exploration._fabric(max_rounds)
-        report = exploration._wave(fabric, seeds)
-        report.per_as_sessions = per_as
-        report.sessions = [r for rs in per_as.values() for r in rs]
-        report.workers = workers
-        report.streamed = True
-        report.used_processes = pool_report.used_processes
-        report.pools = 1
-        report.scheduler_yield = pipeline.federation_yields(tenant=name)
-        report.stream_summary = treport.summary()
+    for name, (exploration, by_node) in corpora.items():
+        report = exploration._report(
+            tenants[name][1], by_node, max_rounds, workers,
+            pipeline.tenant_report(name),
+            pipeline.federation_yields(tenant=name),
+        )
         report.wall_seconds = time.perf_counter() - started
         reports[name] = report
-    return reports, pool_report.summary()
+    return reports, pipeline.report.summary()

@@ -44,17 +44,12 @@ from repro.parallel.chaos import (
     get_chaos_plan,
     list_chaos_plans,
 )
-from repro.parallel.explorer import BatchReport, ParallelExplorer
-from repro.parallel.stream import (
-    DEFAULT_TENANT,
-    PoolAutoscaler,
-    QuarantinedJob,
-    StreamJob,
-    StreamReport,
-    StreamingExplorer,
-    WorkerSupervisor,
-    stream_worker_main,
-)
+from repro.parallel.explorer import ParallelExplorer
+from repro.parallel.jobs import DEFAULT_TENANT, StreamJob
+from repro.parallel.pool import PoolAutoscaler, WorkerSupervisor
+from repro.parallel.reports import BatchReport, QuarantinedJob, StreamReport
+from repro.parallel.stream import StreamingExplorer
+from repro.parallel.transport import stream_worker_main
 from repro.parallel.worker import ProgressBeacon, SessionJob, run_session_job
 
 __all__ = [

@@ -16,7 +16,7 @@ Determinism is the design constraint, matching the rest of the repo:
   never advance the clock, so a plan's later events land on the same
   jobs whether or not an earlier fault forced re-dispatch;
 * job-attached faults (hang, drop-result) travel *inside* the
-  :class:`~repro.parallel.stream.StreamJob` as a
+  :class:`~repro.parallel.jobs.StreamJob` as a
   :class:`ChaosDirective`, executed by the worker between dequeue and
   session run — the session itself is untouched, so a recovered job's
   report is bit-identical to an unfaulted run (the parity tests pin

@@ -26,119 +26,20 @@ docstring for the full determinism argument).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.messages import UpdateMessage
 from repro.bgp.router import BgpRouter
 from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic.engine import ExplorationBudget
-from repro.concolic.solver import merge_stats_dict
 from repro.concolic.solver.cache import DictConstraintCache
 from repro.core.checkers import FaultChecker
-from repro.core.report import Finding, SessionReport
+from repro.core.report import SessionReport
+from repro.parallel.jobs import DEFAULT_NODE, DEFAULT_TENANT, Seed
+from repro.parallel.reports import BatchReport
+from repro.parallel.stream import StreamingExplorer
 from repro.parallel.worker import SessionJob, run_session_job
 from repro.util.errors import ExplorationError
 from repro.util.ip import Prefix
-
-Seed = Tuple[str, UpdateMessage]
-
-
-@dataclass
-class BatchReport:
-    """Aggregate outcome of one parallel exploration batch."""
-
-    reports: List[SessionReport] = field(default_factory=list)
-    workers: int = 1
-    used_processes: bool = False
-    fallback_reason: str = ""
-    wall_seconds: float = 0.0
-    checkpoint_seconds: float = 0.0
-    checkpoint_pages: int = 0
-
-    @property
-    def total_executions(self) -> int:
-        return sum(r.exploration.executions for r in self.reports)
-
-    @property
-    def executions_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.total_executions / self.wall_seconds
-
-    def add_report(self, report: SessionReport) -> "BatchReport":
-        """Incremental aggregation: absorb one session report on arrival.
-
-        The streaming harvester calls this per completed job, and every
-        aggregate view (``findings``, ``cache_stats``, ``summary``) is
-        valid after each call — there is no finalize step.
-        """
-        self.reports.append(report)
-        return self
-
-    def findings(self) -> List[Finding]:
-        """Unique findings across the whole batch (order-independent)."""
-        seen: Dict[tuple, Finding] = {}
-        for report in self.reports:
-            for finding in report.findings:
-                seen.setdefault(finding.dedup_key(), finding)
-        return list(seen.values())
-
-    def leaked_prefixes(self) -> List[Prefix]:
-        prefixes = set()
-        for report in self.reports:
-            prefixes.update(report.leaked_prefixes())
-        return sorted(prefixes)
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Summed per-worker solver cache counters, across all three layers.
-
-        Exact-key hits/misses, semantic (subsumption) probe counters, and
-        propagate-memo counters from each session's solver, summed.
-        """
-        keys = (
-            "cache_hits",
-            "cache_misses",
-            "semantic_lookups",
-            "semantic_hits",
-            "propagate_memo_hits",
-            "propagate_memo_misses",
-        )
-        return {
-            key: sum(int(r.solver_stats.get(key, 0)) for r in self.reports)
-            for key in keys
-        }
-
-    def solver_totals(self) -> Dict[str, float]:
-        """Summed per-worker solver counters, with derived rates recomputed.
-
-        Each session ships its private solver's ``SolverStats.as_dict()``
-        home; this folds them into one cross-session view (the CLI's
-        streaming progress line prints the stage-timing slice of it).
-        Ratio keys (``*_rate``) are recomputed from the summed counters
-        rather than summed themselves.
-        """
-        totals: Dict[str, float] = {}
-        for report in self.reports:
-            merge_stats_dict(totals, report.solver_stats)
-        totals.setdefault("cache_hit_rate", 0.0)
-        return totals
-
-    def summary(self) -> Dict[str, object]:
-        out = {
-            "sessions": len(self.reports),
-            "workers": self.workers,
-            "used_processes": self.used_processes,
-            "total_executions": self.total_executions,
-            "executions_per_second": round(self.executions_per_second, 2),
-            "findings": len(self.findings()),
-            "leaked_prefixes": len(self.leaked_prefixes()),
-            "wall_seconds": round(self.wall_seconds, 4),
-            **self.cache_stats(),
-        }
-        if self.fallback_reason:
-            out["fallback_reason"] = self.fallback_reason
-        return out
 
 
 class ParallelExplorer:
@@ -209,8 +110,6 @@ class ParallelExplorer:
         budget: Optional[ExplorationBudget] = None,
     ) -> BatchReport:
         """Checkpoint once, explore every seed, aggregate the reports."""
-        from repro.parallel.stream import DEFAULT_NODE
-
         return self.explore_nodes(
             [(DEFAULT_NODE, live_router, seeds)], budget=budget
         )[DEFAULT_NODE]
@@ -295,8 +194,6 @@ class ParallelExplorer:
         budget: Optional[ExplorationBudget],
     ) -> Tuple[Dict[str, List[SessionReport]], float, bool, str]:
         """The batch as a stream with a finite corpus and one epoch."""
-        from repro.parallel.stream import StreamingExplorer
-
         pipeline = StreamingExplorer(
             workers=self.workers,
             policy=self.policy,
@@ -312,10 +209,10 @@ class ParallelExplorer:
             # a corpus that is explored in full anyway.
             coverage_guided=False,
         )
-        report = pipeline.explore_corpus(
+        report = pipeline.explore_corpus({DEFAULT_TENANT: (
             {node_id: router for node_id, router, _ in node_batches},
             {node_id: seeds for node_id, _, seeds in node_batches},
-        )
+        )})
         # A stream records a failed job and moves on; a batch promises a
         # report per seed, so a hole fails it — as a raising session
         # fails the serial loop.

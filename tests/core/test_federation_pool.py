@@ -45,17 +45,17 @@ class TestSharedFederationPool:
         self, tiered_built, serial_report, monkeypatch
     ):
         """8 ASes, workers=2 → 2 worker processes total, not 8 pools."""
-        from repro.parallel import stream as stream_module
+        from repro.parallel import transport
 
         spawned = []
-        original = stream_module._ProcessWorker.__init__
+        original = transport._ProcessWorker.__init__
 
         def counting_init(self, slot, result_queue, cache, **kwargs):
             spawned.append(self)
             original(self, slot, result_queue, cache, **kwargs)
 
         monkeypatch.setattr(
-            stream_module._ProcessWorker, "__init__", counting_init
+            transport._ProcessWorker, "__init__", counting_init
         )
         report = tiered_built.federation().explore(
             tiered_built.seed_corpus(), budget=BUDGET, workers=2, stream=True

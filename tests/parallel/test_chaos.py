@@ -259,7 +259,7 @@ class TestCacheDegradation:
 
 
 def _require_processes(stream):
-    if stream._result_queue is None:
+    if not stream.report.used_processes:
         stream.close()
         pytest.skip("no process workers on this host")
 
@@ -274,7 +274,7 @@ class TestSupervisedRecovery:
         _require_processes(stream)
         stream.drain()
         # The pool is back at full strength before close, not shrunk.
-        assert len(stream._alive_process_workers()) == 2
+        assert len(stream._pool.alive()) == 2
         report = stream.close()
         assert report.workers_restarted >= 1
         assert report.jobs_completed == len(seeds)
@@ -353,7 +353,7 @@ class TestSupervisedRecovery:
         )
         _require_processes(stream)
         stream.drain()
-        assert len(stream._alive_process_workers()) == 2
+        assert len(stream._pool.alive()) == 2
         report = stream.close()
         assert report.workers_restarted >= 1
         assert report.hangs_detected >= 1

@@ -20,6 +20,7 @@ from repro.core import get_scenario
 from repro.core.scenario import synthesize_hijack_corpus
 from repro.parallel import ParallelExplorer
 from repro.parallel import stream as stream_module
+from repro.parallel import transport
 from repro.util.errors import ExplorationError
 from repro.util.ip import Prefix, ip_to_int
 
@@ -228,7 +229,7 @@ class TestPoolFacade:
         def refuse(self, *args, **kwargs):
             raise OSError("fork refused")
 
-        monkeypatch.setattr(stream_module._ProcessWorker, "__init__", refuse)
+        monkeypatch.setattr(transport._ProcessWorker, "__init__", refuse)
         seeds = batch_seeds(erroneous_scenario, count=4)
         batch = ParallelExplorer(workers=2).explore_batch(
             erroneous_scenario.provider, seeds, budget=BUDGET
@@ -273,13 +274,13 @@ class TestPoolFacade:
         ]
 
         spawned = []
-        original = stream_module._ProcessWorker.__init__
+        original = transport._ProcessWorker.__init__
 
         def counting_init(self, *args, **kwargs):
             spawned.append(self)
             original(self, *args, **kwargs)
 
-        monkeypatch.setattr(stream_module._ProcessWorker, "__init__", counting_init)
+        monkeypatch.setattr(transport._ProcessWorker, "__init__", counting_init)
         pooled = ParallelExplorer(workers=2).explore_nodes(node_batches, budget=BUDGET)
         serial = ParallelExplorer(workers=2, force_serial=True).explore_nodes(
             node_batches, budget=BUDGET

@@ -262,7 +262,7 @@ class TestElasticPool:
             pytest.skip("process pool unavailable on this host")
         # Autoscaled pools start at min_workers, not workers.
         assert stream.report.pool_size == 1
-        grown = stream._grow_one(time.monotonic())
+        grown = stream._pool.grow(time.monotonic())
         assert grown
         assert stream.report.pool_size == 2
         assert stream.report.pool_high_water == 2
@@ -274,7 +274,7 @@ class TestElasticPool:
 
         # Graceful shrink: STOP queues behind the FIFO, the worker exits,
         # the reaper prunes the slot.
-        assert stream._shrink_one(time.monotonic())
+        assert stream._pool.shrink(time.monotonic())
         assert self._drain_until(
             stream, lambda: stream.report.workers_retired == 1
         ), stream.report.resize_events
@@ -321,16 +321,13 @@ class TestElasticPool:
             stream.close()
             pytest.skip("process pool unavailable on this host")
         # Grow above min so a shrink is legal, then load both workers.
-        assert stream._grow_one(time.monotonic())
+        assert stream._pool.grow(time.monotonic())
         for peer, observed in seeds:
             stream.submit(peer, observed)
         # Retire the highest slot while its jobs are still queued, then
         # kill it before the STOP message can drain.
-        victim = max(
-            (w for w in stream._workers if getattr(w, "process", None)),
-            key=lambda w: w.slot,
-        )
-        assert stream._shrink_one(time.monotonic())
+        victim = max(stream._pool.workers, key=lambda w: w.slot)
+        assert stream._pool.shrink(time.monotonic())
         assert victim.retiring
         victim.process.kill()
         report = stream.close()

@@ -206,6 +206,62 @@ class TestEpochShipping:
         )
 
 
+class TestEpochBoundAtSubmit:
+    @pytest.mark.parametrize("max_inflight", [1, 8])
+    def test_queued_seeds_explore_the_epoch_they_were_submitted_in(
+        self, mutable_scenario, monkeypatch, max_inflight
+    ):
+        """Which checkpoint a seed explores is decided by the order of
+        submit() and advance_epoch() alone — not by how many jobs fit in
+        flight when the boundary arrives.  No timing involved: an inline
+        pool executes nothing until it is pumped."""
+        from repro.parallel import transport
+
+        scenario = mutable_scenario
+        seeds = scenario.dice.batch_seeds(all_seeds=True)[:4]
+        baseline = run_stream(scenario.provider, seeds, 1, True)
+
+        ran_against = {}
+        run = transport._WorkerState._run
+
+        def recording(state, job):
+            ran_against[job.index] = job.epoch
+            return run(state, job)
+
+        monkeypatch.setattr(transport._WorkerState, "_run", recording)
+        stream = StreamingExplorer(
+            workers=1, force_serial=True, budget=BUDGET,
+            max_inflight=max_inflight,
+        )
+        stream.start(scenario.provider)
+        for peer, observed in seeds:
+            stream.submit(peer, observed)
+        scenario.provider.handle_update("customer", seed_update("96.1.0.0/16"))
+        stream.advance_epoch()
+        # Both epochs stay retained while queued records name the old one.
+        assert stream._jobs.claimed_epochs("") == {0}
+        assert set(stream._images.retained) == {("", 0), ("", 1)}
+        late = stream.submit(*seeds[0])
+        report = stream.close()
+
+        assert not report.errors, report.errors
+        assert [ran_against[i] for i in range(len(seeds))] == [0, 0, 0, 0]
+        assert ran_against[late] == 1
+        assert set(stream._images.retained) == {("", 1)}
+        # The four early sessions are the ones a stream with no epoch
+        # boundary at all produces.
+        early = report.reports_in_index_order()[:len(seeds)]
+        assert [
+            frozenset(f.dedup_key() for f in r.findings) for r in early
+        ] == [
+            frozenset(f.dedup_key() for f in r.findings)
+            for r in baseline.reports_in_index_order()
+        ]
+        # Resident where it was bound: only epoch 0 (full) and the one
+        # delta were ever shipped, whatever max_inflight was.
+        assert report.checkpoint_bytes_shipped < 2 * report.full_checkpoint_bytes
+
+
 class TestStreamReport:
     def test_incremental_aggregation_mid_stream(self, erroneous_scenario):
         seeds = erroneous_scenario.dice.batch_seeds(all_seeds=True)[:3]
@@ -299,8 +355,8 @@ class TestWorkerSalvage:
         for peer, observed in seeds:
             stream.submit(peer, observed)
         # Kill the worker out from under its queue.
-        stream._workers[0].process.terminate()
-        stream._workers[0].process.join(2.0)
+        stream._pool.workers[0].process.terminate()
+        stream._pool.workers[0].process.join(2.0)
         report = stream.close()
         assert report.jobs_completed == len(seeds)
         assert report.jobs_recovered > 0
@@ -450,8 +506,8 @@ class TestFederatedStreamPool:
             stream.close()
             pytest.skip("no process workers on this host")
         # Kill a worker out from under its queue mid-stream.
-        stream._workers[0].process.terminate()
-        stream._workers[0].process.join(2.0)
+        stream._pool.workers[0].process.terminate()
+        stream._pool.workers[0].process.join(2.0)
         report = stream.close()
         assert not report.errors, report.errors
         assert report.jobs_completed == len(fed_seeds)
@@ -485,8 +541,8 @@ class TestFederatedStreamPool:
         stream.advance_epoch()
         scenario.provider.handle_update("customer", seed_update("96.2.0.0/16"))
         stream.advance_epoch()
-        stream._workers[0].process.terminate()
-        stream._workers[0].process.join(2.0)
+        stream._pool.workers[0].process.terminate()
+        stream._pool.workers[0].process.join(2.0)
         report = stream.close()
         assert not report.errors, report.errors
         assert report.jobs_completed == len(seeds)
@@ -534,7 +590,7 @@ class TestDispatchDropBookkeeping:
         assert sorted(report.indices) == report.indices
         # The dropped seed's signature never leaked into the scheduler's
         # scheduled set: it still scores as novel.
-        assert stream._scheduler.is_novel(seed_signature(bad))
+        assert stream._rotation.coverage.is_novel(seed_signature(bad))
 
 
 class TestDiceStreamWiring:
