@@ -120,7 +120,7 @@ def test_fabric_propagation_throughput(benchmark, paper_rows, name):
         delivered = handlers = 0
         started = time.perf_counter()
         for _ in range(WAVE_REPEATS):
-            fabric = federation._fabric(max_rounds=16)
+            fabric = federation._fabric()
             for node, peer, update in corpus:
                 fabric.inject(node, peer, update)
             stats = fabric.propagate()
@@ -219,7 +219,7 @@ def _timed_wave(built, corpus, vectorized, compare, tables=_digest_tables):
     federation = built.federation()
     fabric = IsolatedFabric(
         federation.routers,
-        max_rounds=16,
+        max_rounds=federation.max_rounds,
         graph=federation.graph,
         default_latency=federation.default_latency,
         vectorized=vectorized,

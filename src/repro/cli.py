@@ -93,24 +93,26 @@ def cmd_explore(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    service_flags = args.autoscale or args.epoch_churn is not None
-    if service_flags and not args.stream:
-        print("error: --autoscale/--epoch-churn configure the shared "
-              "streaming pool; add --stream with a generated --scenario",
-              file=sys.stderr)
+    pool_flags = (
+        args.chaos or args.autoscale or args.epoch_churn is not None
+        or args.stream_epochs != 1
+    )
+    if pool_flags and not args.stream:
+        print("error: --chaos/--autoscale/--epoch-churn/--stream-epochs "
+              "configure the shared streaming pool; add --stream with a "
+              "generated --scenario", file=sys.stderr)
         return 2
     scenario_names = _csv(args.scenario)
-    if len(scenario_names) > 1:
-        return _explore_tenants(args, scenario_names)
-    if args.scenario != "fig2":
-        return _explore_federated(args)
-    if service_flags or args.stream_epochs != 1:
-        print("error: --autoscale/--epoch-churn/--stream-epochs require a "
-              "generated --scenario (see 'repro scenarios')", file=sys.stderr)
-        return 2
-    if args.chaos:
-        print("error: --chaos requires a generated --scenario with --stream "
-              "(the shared streaming pool; see 'repro scenarios')",
+    if len(scenario_names) > 1 or args.scenario != "fig2":
+        options = _explore_options(args)
+        if options is None:
+            return 2
+        if len(scenario_names) > 1:
+            return _explore_tenants(args, scenario_names, *options)
+        return _explore_federated(args, *options)
+    if pool_flags:
+        print("error: --chaos/--autoscale/--epoch-churn/--stream-epochs "
+              "require a generated --scenario (see 'repro scenarios')",
               file=sys.stderr)
         return 2
     if args.workload:
@@ -154,14 +156,12 @@ def _explore_parallel(scenario, args: argparse.Namespace) -> int:
         return 1
     # The explorer comes from the scenario's DiCE so its checkers and
     # anycast whitelist apply here exactly as in sequential rounds.
-    scenario.dice.policy = args.policy
     explorer = scenario.dice.parallel_explorer(
-        workers=args.workers, strategy=args.strategy, strategy_seed=args.seed
-    )
-    batch = explorer.explore_batch(
-        scenario.provider, seeds,
+        workers=args.workers, policy=args.policy, strategy=args.strategy,
+        strategy_seed=args.seed,
         budget=ExplorationBudget(max_executions=args.executions),
     )
+    batch = explorer.explore_batch(scenario.provider, seeds)
     print(f"parallel exploration ({args.workers} workers, "
           f"{len(batch.reports)} sessions):")
     for key, value in batch.summary().items():
@@ -242,13 +242,10 @@ def _explore_stream(scenario, args: argparse.Namespace) -> int:
     if not seeds:
         print("no observed inputs")
         return 1
-    scenario.dice.policy = args.policy
-    budget = ExplorationBudget(max_executions=args.executions)
     with scenario.dice.stream(
-        workers=args.workers,
-        budget=budget,
-        strategy=args.strategy,
+        workers=args.workers, policy=args.policy, strategy=args.strategy,
         strategy_seed=args.seed,
+        budget=ExplorationBudget(max_executions=args.executions),
     ) as stream:
         # The scenario's traffic was already observed during convergence;
         # replay those buffers into the stream the way live operation
@@ -266,26 +263,43 @@ def _explore_stream(scenario, args: argparse.Namespace) -> int:
     return 0
 
 
-def _explore_federated(args: argparse.Namespace) -> int:
-    """Federated exploration over a registry scenario's generated topology."""
-    scenario = get_scenario(args.scenario)
-    workload = get_workload(args.workload) if args.workload else None
-    chaos_plan = None
-    if args.chaos:
-        if not args.stream:
-            print("error: --chaos targets the shared streaming pool; "
-                  "add --stream", file=sys.stderr)
-            return 2
-        from repro.parallel.chaos import get_chaos_plan, list_chaos_plans
+def _explore_options(args: argparse.Namespace):
+    """The explore flags as the two option records — built once, for the
+    single-federation and the multi-tenant path alike; None (after
+    saying why) for an unknown ``--chaos`` plan."""
+    from repro.parallel.chaos import get_chaos_plan, list_chaos_plans
+    from repro.parallel.options import EngineOptions, PoolOptions
 
+    chaos = None
+    if args.chaos:
         try:
-            chaos_plan = get_chaos_plan(args.chaos)
+            chaos = get_chaos_plan(args.chaos)
         except ValueError:
             print(f"error: unknown chaos plan {args.chaos!r}; known plans:",
                   file=sys.stderr)
             for name, description in list_chaos_plans():
                 print(f"  {name:18} {description}", file=sys.stderr)
-            return 2
+            return None
+    engine = EngineOptions(
+        policy=args.policy,
+        strategy=args.strategy,
+        strategy_seed=args.seed,
+        budget=ExplorationBudget(max_executions=args.executions),
+    )
+    pool = PoolOptions(
+        workers=args.workers,
+        as_rotation=args.as_rotation,
+        chaos=chaos,
+        autoscale=args.autoscale,
+        autoscale_interval=args.autoscale_interval,
+    )
+    return engine, pool
+
+
+def _explore_federated(args: argparse.Namespace, engine, pool) -> int:
+    """Federated exploration over a registry scenario's generated topology."""
+    scenario = get_scenario(args.scenario)
+    workload = get_workload(args.workload) if args.workload else None
     # An explicit --filter-mode overrides the scenario's registered
     # customer-filtering default; left unset, the CLI builds exactly
     # what get_scenario(name).build(seed=...) builds, so a finding
@@ -326,27 +340,18 @@ def _explore_federated(args: argparse.Namespace) -> int:
         print("scenario declares no exploration seeds")
         return 1
     report = built.federation().explore(
-        corpus,
-        budget=ExplorationBudget(max_executions=args.executions),
-        workers=args.workers,
+        corpus, engine, pool,
         stream=args.stream,
-        policy=args.policy,
-        strategy=args.strategy,
-        strategy_seed=args.seed,
-        as_rotation=args.as_rotation,
         stream_epochs=args.stream_epochs,
-        workload=plan,
-        chaos=chaos_plan,
         epoch_churn=args.epoch_churn,
-        autoscale=args.autoscale,
-        autoscale_interval=args.autoscale_interval,
+        workload=plan,
     )
     mode = "streamed" if args.stream else "batch"
-    pool = (
+    shape = (
         f"1 shared pool × {args.workers} workers" if args.stream
         else f"{args.workers} workers"
     )
-    print(f"federated exploration ({mode}, {pool}, {len(corpus)} seeds):")
+    print(f"federated exploration ({mode}, {shape}, {len(corpus)} seeds):")
     for key, value in report.summary().items():
         print(f"  {key}: {value}")
     for node, sessions in report.per_as_sessions.items():
@@ -383,21 +388,8 @@ def _explore_federated(args: argparse.Namespace) -> int:
         + summary.get("jobs_quarantined", 0)
         + summary.get("degraded_shards", 0)
     )
-    if chaos_plan is not None or recoveries:
-        plan_note = f" plan={chaos_plan.name!r}" if chaos_plan else ""
-        print(
-            f"  [resilience]{plan_note} restarts "
-            f"{summary.get('workers_restarted', 0)}"
-            f" | hangs {summary.get('hangs_detected', 0)}"
-            f" | retries {summary.get('jobs_retried', 0)}"
-            f" | quarantined {summary.get('jobs_quarantined', 0)}"
-            f" | cache degraded {summary.get('degraded_shards', 0)}/"
-            f"{summary.get('cache_shards', 0)} shards"
-        )
-        for event in summary.get("chaos_events", []):
-            print(f"    chaos: {event}")
-        for entry in summary.get("quarantined", []):
-            print(f"    {entry}")
+    if pool.chaos is not None or recoveries:
+        _print_resilience(summary, pool.chaos)
     if args.autoscale or summary.get("resize_events"):
         _print_service_summary(summary)
     if plan is not None:
@@ -411,6 +403,25 @@ def _explore_federated(args: argparse.Namespace) -> int:
             print(f"    {finding.describe()}")
     return 2 if (report.findings() or report.global_findings
                  or report.workload_findings) else 0
+
+
+def _print_resilience(summary: dict, chaos) -> None:
+    """The pool's recovery counters, the faults injected and what was
+    quarantined."""
+    plan_note = f" plan={chaos.name!r}" if chaos is not None else ""
+    print(
+        f"  [resilience]{plan_note} restarts "
+        f"{summary.get('workers_restarted', 0)}"
+        f" | hangs {summary.get('hangs_detected', 0)}"
+        f" | retries {summary.get('jobs_retried', 0)}"
+        f" | quarantined {summary.get('jobs_quarantined', 0)}"
+        f" | cache degraded {summary.get('degraded_shards', 0)}/"
+        f"{summary.get('cache_shards', 0)} shards"
+    )
+    for event in summary.get("chaos_events", []):
+        print(f"    chaos: {event}")
+    for entry in summary.get("quarantined", []):
+        print(f"    {entry}")
 
 
 def _print_service_summary(summary: dict) -> None:
@@ -429,7 +440,9 @@ def _print_service_summary(summary: dict) -> None:
         print(f"    resize: {event}")
 
 
-def _explore_tenants(args: argparse.Namespace, names: List[str]) -> int:
+def _explore_tenants(
+    args: argparse.Namespace, names: List[str], engine, pool
+) -> int:
     """Service mode: several scenarios as tenants of ONE streaming pool."""
     if not args.stream:
         print("error: multiple --scenario values run as tenants of one "
@@ -444,18 +457,6 @@ def _explore_tenants(args: argparse.Namespace, names: List[str]) -> int:
               "be generated federations (see 'repro scenarios')",
               file=sys.stderr)
         return 2
-    chaos_plan = None
-    if args.chaos:
-        from repro.parallel.chaos import get_chaos_plan, list_chaos_plans
-
-        try:
-            chaos_plan = get_chaos_plan(args.chaos)
-        except ValueError:
-            print(f"error: unknown chaos plan {args.chaos!r}; known plans:",
-                  file=sys.stderr)
-            for name, description in list_chaos_plans():
-                print(f"  {name:18} {description}", file=sys.stderr)
-            return 2
     from repro.core.federation import explore_tenants
 
     # Duplicate scenario names are legal (the isolation benchmark runs
@@ -488,23 +489,14 @@ def _explore_tenants(args: argparse.Namespace, names: List[str]) -> int:
         tenants[label] = (built.federation(), corpus)
         labels.append(label)
     reports, summary = explore_tenants(
-        tenants,
-        budget=ExplorationBudget(max_executions=args.executions),
-        workers=args.workers,
-        policy=args.policy,
-        strategy=args.strategy,
-        strategy_seed=args.seed,
-        stream_epochs=args.stream_epochs,
-        epoch_churn=args.epoch_churn,
-        autoscale=args.autoscale,
-        autoscale_interval=args.autoscale_interval,
-        chaos=chaos_plan,
+        tenants, engine, pool,
+        stream_epochs=args.stream_epochs, epoch_churn=args.epoch_churn,
     )
-    pool = f"1 shared pool × {args.workers} workers"
+    shape = f"1 shared pool × {args.workers} workers"
     if args.autoscale:
-        pool += " (autoscaled)"
+        shape += " (autoscaled)"
     total_seeds = sum(len(corpus) for _, corpus in tenants.values())
-    print(f"service exploration ({len(tenants)} tenants, {pool}, "
+    print(f"service exploration ({len(tenants)} tenants, {shape}, "
           f"{total_seeds} seeds):")
     any_findings = False
     for label in labels:
@@ -525,16 +517,7 @@ def _explore_tenants(args: argparse.Namespace, names: List[str]) -> int:
             f"{tenant}:{count}" for tenant, count in sorted(by_tenant.items())
         )
         print(f"  [service] jobs by tenant: {jobs}")
-    print(
-        f"  [resilience] restarts {summary.get('workers_restarted', 0)}"
-        f" | hangs {summary.get('hangs_detected', 0)}"
-        f" | retries {summary.get('jobs_retried', 0)}"
-        f" | quarantined {summary.get('jobs_quarantined', 0)}"
-        f" | cache degraded {summary.get('degraded_shards', 0)}/"
-        f"{summary.get('cache_shards', 0)} shards"
-    )
-    for event in summary.get("chaos_events", []):
-        print(f"    chaos: {event}")
+    _print_resilience(summary, pool.chaos)
     _print_service_summary(summary)
     return 2 if any_findings else 0
 

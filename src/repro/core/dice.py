@@ -31,6 +31,7 @@ from typing import (
 
 if TYPE_CHECKING:  # avoids the runtime core <-> parallel import cycle
     from repro.parallel.explorer import BatchReport, ParallelExplorer
+    from repro.parallel.options import EngineOptions, PoolOptions
     from repro.parallel.stream import StreamReport, StreamingExplorer
 
 from repro.bgp.messages import UpdateMessage
@@ -251,7 +252,22 @@ class DiCE:
                     "process boundary); for custom configurations use "
                     "repro.parallel.ParallelExplorer directly"
                 )
-            return self._run_parallel_round(peer, budget, parallel, all_seeds)
+            seeds = self.batch_seeds(peer, all_seeds=all_seeds)
+            if not seeds:
+                return None
+            # The whole batch is about to be explored: consume each seed's
+            # novelty now so later rounds don't keep boosting it (pick_seed
+            # does the same for sequential rounds).
+            for _, update in seeds:
+                self.scheduler.mark_scheduled(seed_signature(update))
+            batch = self.parallel_explorer(
+                workers=parallel, budget=budget
+            ).explore_batch(self.router, seeds)
+            self.rounds.extend(batch.reports)
+            for report in batch.reports:
+                self.scheduler.note_session(report.peer, report.exploration.coverage)
+            self.exploration_wall_seconds += batch.wall_seconds
+            return batch
         seed = self.pick_seed(peer)
         if seed is None:
             return None
@@ -268,106 +284,67 @@ class DiCE:
         return report
 
     def parallel_explorer(
-        self,
-        workers: int = 1,
-        strategy: str = "generational",
-        strategy_seed: int = 0,
-        constraint_cache: bool = True,
+        self, pool: Optional["PoolOptions"] = None, **options: object
     ) -> "ParallelExplorer":
         """A batch explorer carrying this DiCE's exploration configuration.
 
         The single place where the facade's policy, model kwargs, custom
-        checkers, and anycast whitelist are translated into picklable
-        worker configuration — callers (``run_round``, the CLI) should
-        build batch explorers here rather than by hand.  Note the worker
-        engines are stock: a custom ``engine`` passed to :class:`DiCE`
-        applies to sequential rounds only, because live engine/solver
-        objects cannot cross the process boundary.
+        checkers, and anycast whitelist become the
+        :class:`~repro.parallel.options.EngineOptions` every worker runs
+        with — callers (``run_round``, the CLI) should build batch
+        explorers here rather than by hand; ``pool`` and keywords (any
+        field of either record) add the rest.  Note the worker engines
+        are stock: a custom ``engine`` passed to :class:`DiCE` applies to
+        sequential rounds only, because live engine/solver objects
+        cannot cross the process boundary.
         """
         from repro.parallel.explorer import ParallelExplorer
 
-        return ParallelExplorer(
-            workers=max(workers, 1),
+        return ParallelExplorer(*self._options(pool, options))
+
+    def _options(
+        self, pool: Optional["PoolOptions"], options: Dict[str, object]
+    ) -> Tuple["EngineOptions", "PoolOptions"]:
+        from repro.parallel.options import EngineOptions, resolve_options
+
+        engine = EngineOptions(
             policy=self.policy,
             model_kwargs=self.model_kwargs,
             checkers=self._custom_checkers,
             anycast_whitelist=self._anycast_whitelist,
-            strategy=strategy,
-            strategy_seed=strategy_seed,
-            constraint_cache=constraint_cache,
         )
-
-    def _run_parallel_round(
-        self,
-        peer: Optional[str],
-        budget: Optional[ExplorationBudget],
-        workers: int,
-        all_seeds: bool,
-    ) -> Optional["BatchReport"]:
-        seeds = self.batch_seeds(peer, all_seeds=all_seeds)
-        if not seeds:
-            return None
-        # The whole batch is about to be explored: consume each seed's
-        # novelty now so later rounds don't keep boosting it (pick_seed
-        # does the same for sequential rounds).
-        for _, update in seeds:
-            self.scheduler.mark_scheduled(seed_signature(update))
-        batch = self.parallel_explorer(workers).explore_batch(
-            self.router, seeds, budget=budget
-        )
-        self.rounds.extend(batch.reports)
-        for report in batch.reports:
-            self.scheduler.note_session(report.peer, report.exploration.coverage)
-        self.exploration_wall_seconds += batch.wall_seconds
-        return batch
+        return resolve_options(engine, pool, **options)
 
     # -- streaming ------------------------------------------------------------
 
     def streaming_explorer(
-        self,
-        workers: int = 1,
-        budget: Optional[ExplorationBudget] = None,
-        strategy: str = "generational",
-        strategy_seed: int = 0,
-        constraint_cache: bool = True,
-        queue_capacity: Optional[int] = None,
-        force_serial: bool = False,
-        coverage_guided: bool = True,
+        self, pool: Optional["PoolOptions"] = None, **options: object
     ) -> "StreamingExplorer":
         """A streaming pipeline carrying this DiCE's exploration config.
 
-        The streaming analogue of :meth:`parallel_explorer` — same
-        translation of policy, model kwargs, checkers, and whitelist
-        into picklable worker configuration; the stream's per-peer queue
-        bound defaults to the observation buffers' capacity.
+        The streaming analogue of :meth:`parallel_explorer`, with the
+        same arguments; without a ``pool`` record the stream's per-peer
+        queue bound defaults to the observation buffers' capacity.
         """
+        from repro.parallel.options import PoolOptions
         from repro.parallel.stream import StreamingExplorer
 
-        return StreamingExplorer(
-            workers=max(workers, 1),
-            policy=self.policy,
-            model_kwargs=self.model_kwargs,
-            checkers=self._custom_checkers,
-            anycast_whitelist=self._anycast_whitelist,
-            strategy=strategy,
-            strategy_seed=strategy_seed,
-            constraint_cache=constraint_cache,
-            budget=budget,
-            queue_capacity=queue_capacity or self._observed_capacity,
-            force_serial=force_serial,
-            coverage_guided=coverage_guided,
-        )
+        if pool is None:
+            pool = PoolOptions(queue_capacity=self._observed_capacity)
+        return StreamingExplorer(*self._options(pool, options))
 
-    def stream_start(self, workers: int = 1, **kwargs) -> "StreamingExplorer":
+    def stream_start(
+        self, pool: Optional["PoolOptions"] = None, **options: object
+    ) -> "StreamingExplorer":
         """Open a streaming pipeline over the live router.
 
         From here until :meth:`stream_stop`, every :meth:`observe`-d
-        announcement is auto-enqueued for exploration.  Accepts the
-        :meth:`streaming_explorer` keyword arguments.
+        announcement is auto-enqueued for exploration.  Takes the
+        :meth:`streaming_explorer` arguments.
         """
         if self._stream is not None:
             raise ExplorationError("a stream is already active on this DiCE")
-        explorer = self.streaming_explorer(workers=workers, **kwargs)
+        explorer = self.streaming_explorer(pool, **options)
         explorer.start(self.router)
         self._stream = explorer
         self._stream_harvested = 0
@@ -421,14 +398,16 @@ class DiCE:
         return report
 
     @contextmanager
-    def stream(self, workers: int = 1, **kwargs) -> Iterator["StreamingExplorer"]:
+    def stream(
+        self, pool: Optional["PoolOptions"] = None, **options: object
+    ) -> Iterator["StreamingExplorer"]:
         """Scoped streaming: ``with dice.stream(workers=4) as s: ...``
 
         Observation, exploration, and harvest overlap inside the block;
         on exit the stream drains and its findings are aggregated on the
         facade like any other round's.
         """
-        explorer = self.stream_start(workers=workers, **kwargs)
+        explorer = self.stream_start(pool, **options)
         try:
             yield explorer
         finally:

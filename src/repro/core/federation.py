@@ -30,7 +30,7 @@ This module implements that sketch on our substrates:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -45,7 +45,7 @@ from typing import (
 
 if TYPE_CHECKING:  # avoids the runtime core <-> topology import cycle
     from repro.core.workload import WorkloadPlan
-    from repro.parallel.chaos import ChaosPlan
+    from repro.parallel.options import EngineOptions, PoolOptions
     from repro.topology.graph import AsGraph
 
 from repro.bgp.messages import NotificationMessage, UpdateMessage
@@ -53,7 +53,6 @@ from repro.bgp.nlri import NlriEntry
 from repro.bgp.router import BgpRouter
 from repro.bgp.wire import as_concrete_int
 from repro.checkpoint.snapshot import Checkpoint
-from repro.concolic.engine import ExplorationBudget
 from repro.concolic.env import ExplorationEnvironment
 from repro.core.checkers import WaveContext, get_wave_checker
 from repro.core.privacy import OriginDigest, conflict_pairs
@@ -66,6 +65,10 @@ from repro.util.ip import Prefix
 #: at the clone of ``node`` — the unit both the per-AS concolic fan-out
 #: and the fabric wave consume.
 FederatedSeed = Tuple[str, str, UpdateMessage]
+
+#: Hop budget of an exploratory wave: how deep a relayed message may go
+#: before the wave is cut short and reported ``converged=False``.
+DEFAULT_MAX_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ class IsolatedFabric:
     def __init__(
         self,
         routers: Dict[str, BgpRouter],
-        max_rounds: int = 16,
+        max_rounds: int = DEFAULT_MAX_ROUNDS,
         graph: Optional["AsGraph"] = None,
         default_latency: float = 0.001,
         max_events: int = 1_000_000,
@@ -595,35 +598,34 @@ class FederatedExploration:
         salt: bytes = b"dice-federation",
         graph: Optional["AsGraph"] = None,
         default_latency: float = 0.001,
+        max_rounds: int = DEFAULT_MAX_ROUNDS,
     ):
         self.routers = routers
         self.salt = salt
         self.graph = graph
         self.default_latency = default_latency
+        #: Hop budget of every wave this federation runs.
+        self.max_rounds = max_rounds
 
-    def _fabric(self, max_rounds: int) -> IsolatedFabric:
+    def _fabric(self) -> IsolatedFabric:
         return IsolatedFabric(
             self.routers,
-            max_rounds=max_rounds,
+            max_rounds=self.max_rounds,
             graph=self.graph,
             default_latency=self.default_latency,
         )
 
     def run(
-        self,
-        inject_at: str,
-        peer_id: str,
-        update: UpdateMessage,
-        max_rounds: int = 16,
+        self, inject_at: str, peer_id: str, update: UpdateMessage
     ) -> FederatedReport:
         started = time.perf_counter()
-        fabric = self._fabric(max_rounds)
+        fabric = self._fabric()
         report = self._wave(fabric, [(inject_at, peer_id, update)])
         report.wall_seconds = time.perf_counter() - started
         return report
 
     def run_workload(
-        self, plan: "WorkloadPlan", max_rounds: int = 16
+        self, plan: "WorkloadPlan"
     ) -> Tuple[List[Finding], FabricStats]:
         """Drive one fault/churn workload wave and run its paired checkers.
 
@@ -633,7 +635,7 @@ class FederatedExploration:
         names judges the resulting clone ensemble.  Returns the checker
         findings plus the wave's own :class:`FabricStats`.
         """
-        fabric = self._fabric(max_rounds)
+        fabric = self._fabric()
         baseline: Dict[str, Dict[Prefix, int]] = {}
         for node_id, clone in fabric.clones.items():
             local_asn = as_concrete_int(clone.config.asn)
@@ -662,21 +664,14 @@ class FederatedExploration:
     def explore(
         self,
         seeds: Sequence[FederatedSeed],
-        budget: Optional[ExplorationBudget] = None,
-        workers: int = 1,
+        engine: Optional["EngineOptions"] = None,
+        pool: Optional["PoolOptions"] = None,
+        *,
         stream: bool = False,
-        policy: str = "selective",
-        strategy: str = "generational",
-        strategy_seed: int = 0,
-        max_rounds: int = 16,
-        force_serial: bool = False,
-        as_rotation: str = "yield",
         stream_epochs: int = 1,
-        workload: Optional["WorkloadPlan"] = None,
-        chaos: Optional["ChaosPlan"] = None,
         epoch_churn: Optional[int] = None,
-        autoscale: bool = False,
-        autoscale_interval: float = 0.05,
+        workload: Optional["WorkloadPlan"] = None,
+        **options: object,
     ) -> FederatedReport:
         """Explore a federated seed corpus, then run the system-wide wave.
 
@@ -686,16 +681,18 @@ class FederatedExploration:
         in one pool) or, with ``stream=True``, **one** shared
         :class:`~repro.parallel.stream.StreamingExplorer` whose workers
         hold every AS's ``(node, epoch)`` image and whose dispatch
-        budget rotates across ASes by recent finding yield
-        (``as_rotation="yield"``; ``"round-robin"`` for blind rotation).
-        All assign the same per-AS job indices, so for a fixed corpus
-        the finding set is identical across serial, batch, and streamed
-        runs with any worker count.
+        budget rotates across ASes (``as_rotation``).  All assign the
+        same per-AS job indices, so for a fixed corpus the finding set
+        is identical across serial, batch, and streamed runs with any
+        worker count.  ``engine`` and ``pool`` configure the sessions
+        and the pool; flat keywords name their fields.
 
         ``stream_epochs`` > 1 splits each AS's seed list into that many
         re-checkpoint epochs: every boundary captures each node again
-        and ships only the per-node delta — the long-lived-deployment
-        shape, exercised here over a finite corpus.
+        and ships only the per-node delta (with ``epoch_churn``, only
+        for nodes that many dirty segments past their current image).
+        Those two, a ``chaos`` plan and ``autoscale`` act on the shared
+        streaming pool, so they require ``stream=True``.
 
         ``workload`` additionally runs a fault/churn wave
         (:meth:`run_workload`) after the corpus wave — on its *own*
@@ -704,93 +701,80 @@ class FederatedExploration:
         workload wave is serial and deterministic regardless of
         ``workers``/``stream``, so serial/streamed finding-set parity
         is preserved.
-
-        ``chaos`` injects a deterministic fault plan
-        (:class:`~repro.parallel.chaos.ChaosPlan`) into the shared
-        streaming pool — the resilience layer's recovery counters come
-        back in ``report.stream_summary`` — so it requires
-        ``stream=True``.
-
-        ``epoch_churn`` makes the ``stream_epochs`` boundaries
-        *churn-driven*: each boundary re-captures every node but only
-        ships a delta for nodes whose table accumulated at least that
-        many dirty segments since their current image — quiet nodes
-        skip the ship and their epoch stands.  ``autoscale`` runs the
-        shared pool elastically (grow from one worker up to ``workers``
-        on observed backlog, shrink when drained).  Both require
-        ``stream=True``.
         """
-        if not seeds:
-            raise ExplorationError("federated exploration needs a seed corpus")
-        if stream_epochs < 1:
-            raise ExplorationError(
-                f"stream_epochs must be >= 1, got {stream_epochs}"
-            )
+        from repro.parallel.options import resolve_options
+
+        engine, pool = resolve_options(engine, pool, **options)
         for option, given in (
-            ("chaos", chaos is not None),
+            ("chaos", pool.chaos is not None),
             ("epoch_churn", epoch_churn is not None),
-            ("autoscale", autoscale),
+            ("autoscale", pool.autoscale),
+            ("stream_epochs", stream_epochs != 1),
         ):
             if given and not stream:
                 raise ExplorationError(
                     f"{option} acts on the shared streaming pool; "
                     f"it requires stream=True"
                 )
-        unknown = sorted({node for node, _, _ in seeds} - set(self.routers))
-        if unknown:
-            raise ExplorationError(f"seeds reference unknown nodes: {unknown}")
         started = time.perf_counter()
-        by_node = _seeds_by_node(seeds)
+        by_node = self._by_node(seeds, "federated exploration")
         if stream:
             pipeline = _stream_corpora(
                 {"": (self, by_node)},  # the default tenant
-                stream_epochs, epoch_churn,
-                workers=workers, policy=policy, strategy=strategy,
-                strategy_seed=strategy_seed, budget=budget,
-                force_serial=force_serial, as_rotation=as_rotation,
-                chaos=chaos, autoscale=autoscale,
-                autoscale_interval=autoscale_interval,
+                engine, pool, stream_epochs, epoch_churn,
             )
             report = self._report(
-                seeds, by_node, max_rounds, workers, pipeline.report,
+                seeds, by_node, pool.workers, pipeline.report,
                 pipeline.federation_yields(),
             )
         else:
             from repro.parallel.explorer import ParallelExplorer
 
-            batches = ParallelExplorer(
-                workers=workers, policy=policy, strategy=strategy,
-                strategy_seed=strategy_seed, force_serial=force_serial,
-            ).explore_nodes(
+            batches = ParallelExplorer(engine, pool).explore_nodes(
                 [(node, self.routers[node], node_seeds)
                  for node, node_seeds in by_node.items()],
-                budget=budget,
             )
             report = self._report(
                 seeds,
                 {node: list(batch.reports) for node, batch in batches.items()},
-                max_rounds, workers,
+                pool.workers,
             )
             report.used_processes = any(
                 batch.used_processes for batch in batches.values()
             )
         if workload is not None:
             report.workload_findings, report.workload_stats = (
-                self.run_workload(workload, max_rounds=max_rounds)
+                self.run_workload(workload)
             )
             report.workload = workload.name
         report.wall_seconds = time.perf_counter() - started
         return report
 
+    def _by_node(
+        self, seeds: Sequence[FederatedSeed], who: str
+    ) -> Dict[str, List[Tuple[str, UpdateMessage]]]:
+        """``seeds`` grouped by node, once ``who``'s corpus is known to be
+        non-empty and to name only this federation's nodes."""
+        if not seeds:
+            raise ExplorationError(f"{who} has an empty seed corpus")
+        unknown = sorted({node for node, _, _ in seeds} - set(self.routers))
+        if unknown:
+            raise ExplorationError(
+                f"{who} seeds reference unknown nodes: {unknown}"
+            )
+        by_node: Dict[str, List[Tuple[str, UpdateMessage]]] = {}
+        for node, peer, update in seeds:
+            by_node.setdefault(node, []).append((peer, update))
+        return by_node
+
     def _report(
-        self, seeds, per_as, max_rounds, workers, streamed=None,
-        scheduler_yield=None,
+        self, seeds, per_as, workers, streamed=None, scheduler_yield=None,
     ) -> FederatedReport:
         """The system-wide wave over this federation's own fresh fabric,
         carrying the per-AS sessions — read, with the pool's provenance,
         from the ``streamed`` report when there is one (``per_as`` need
         then only be keyed by the explored nodes)."""
-        report = self._wave(self._fabric(max_rounds), seeds)
+        report = self._wave(self._fabric(), seeds)
         if streamed is not None:
             per_as = {
                 node: streamed.reports_in_index_order(node) for node in per_as
@@ -863,16 +847,7 @@ class FederatedExploration:
         return findings
 
 
-def _seeds_by_node(
-    seeds: Sequence[FederatedSeed],
-) -> Dict[str, List[Tuple[str, UpdateMessage]]]:
-    by_node: Dict[str, List[Tuple[str, UpdateMessage]]] = {}
-    for node, peer, update in seeds:
-        by_node.setdefault(node, []).append((peer, update))
-    return by_node
-
-
-def _stream_corpora(corpora, epochs, churn_threshold, **pool_options):
+def _stream_corpora(corpora, engine, pool, epochs, churn_threshold):
     """Feed ``{tenant: (exploration, seeds by node)}`` through **one**
     shared streaming pool; returns the closed pipeline.
 
@@ -887,7 +862,9 @@ def _stream_corpora(corpora, epochs, churn_threshold, **pool_options):
     """
     from repro.parallel.stream import StreamingExplorer
 
-    pipeline = StreamingExplorer(coverage_guided=False, **pool_options)
+    if epochs < 1:
+        raise ExplorationError(f"stream_epochs must be >= 1, got {epochs}")
+    pipeline = StreamingExplorer(engine, replace(pool, coverage_guided=False))
     pipeline.explore_corpus(
         {
             tenant: (
@@ -903,30 +880,25 @@ def _stream_corpora(corpora, epochs, churn_threshold, **pool_options):
 
 def explore_tenants(
     tenants: Dict[str, Tuple[FederatedExploration, Sequence[FederatedSeed]]],
-    budget: Optional[ExplorationBudget] = None,
-    workers: int = 1,
-    policy: str = "selective",
-    strategy: str = "generational",
-    strategy_seed: int = 0,
-    max_rounds: int = 16,
-    force_serial: bool = False,
+    engine: Optional["EngineOptions"] = None,
+    pool: Optional["PoolOptions"] = None,
+    *,
     stream_epochs: int = 1,
     epoch_churn: Optional[int] = None,
-    autoscale: bool = False,
-    autoscale_interval: float = 0.05,
-    chaos: Optional["ChaosPlan"] = None,
+    **options: object,
 ) -> Tuple[Dict[str, FederatedReport], Dict[str, object]]:
     """Run several federations through **one** shared streaming pool.
 
     Service mode's entry point: each item of ``tenants`` maps a tenant
     name to a ``(FederatedExploration, seed corpus)`` pair — typically
     one scenario each.  All tenants' seeds stream through a single
-    worker pool (optionally autoscaled); node keys, worker image
-    tables, scheduler state, and the constraint cache are tenant-scoped
-    inside the pool, and cross-tenant dispatch is yield-weighted
-    deficit rotation (:class:`~repro.concolic.coverage.TenantScheduler`)
-    — a busy tenant wins proportionally more slots but can never starve
-    a quiet one.
+    worker pool (optionally autoscaled), configured as
+    :meth:`FederatedExploration.explore` configures its own; node keys,
+    worker image tables, scheduler state, and the constraint cache are
+    tenant-scoped inside the pool, and cross-tenant dispatch is
+    yield-weighted deficit rotation
+    (:class:`~repro.concolic.coverage.TenantScheduler`) — a busy tenant
+    wins proportionally more slots but can never starve a quiet one.
 
     Isolation is the contract: each tenant's :class:`FederatedReport`
     (its own sessions, findings, and system-wide wave over its own
@@ -937,41 +909,23 @@ def explore_tenants(
     service-level counters (pool sizing, resize events, per-tenant job
     counts) live.
     """
+    from repro.parallel.options import resolve_options
+
+    engine, pool = resolve_options(engine, pool, **options)
     if not tenants:
         raise ExplorationError("explore_tenants needs at least one tenant")
-    for name, (exploration, seeds) in tenants.items():
-        if not name:
-            raise ExplorationError("tenant names must be non-empty")
-        if not seeds:
-            raise ExplorationError(f"tenant {name!r} has an empty seed corpus")
-        unknown = sorted(
-            {node for node, _, _ in seeds} - set(exploration.routers)
-        )
-        if unknown:
-            raise ExplorationError(
-                f"tenant {name!r} seeds reference unknown nodes: {unknown}"
-            )
-    if stream_epochs < 1:
-        raise ExplorationError(
-            f"stream_epochs must be >= 1, got {stream_epochs}"
-        )
-
+    if not all(tenants):
+        raise ExplorationError("tenant names must be non-empty")
     started = time.perf_counter()
     corpora = {
-        name: (exploration, _seeds_by_node(seeds))
+        name: (exploration, exploration._by_node(seeds, f"tenant {name!r}"))
         for name, (exploration, seeds) in tenants.items()
     }
-    pipeline = _stream_corpora(
-        corpora, stream_epochs, epoch_churn,
-        workers=workers, policy=policy, strategy=strategy,
-        strategy_seed=strategy_seed, budget=budget, force_serial=force_serial,
-        as_rotation="yield", chaos=chaos, autoscale=autoscale,
-        autoscale_interval=autoscale_interval,
-    )
+    pipeline = _stream_corpora(corpora, engine, pool, stream_epochs, epoch_churn)
     reports: Dict[str, FederatedReport] = {}
     for name, (exploration, by_node) in corpora.items():
         report = exploration._report(
-            tenants[name][1], by_node, max_rounds, workers,
+            tenants[name][1], by_node, pool.workers,
             pipeline.tenant_report(name),
             pipeline.federation_yields(tenant=name),
         )

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.concolic.engine import ExplorationBudget
 from repro.core.dice import DiCE
 from repro.net.node import NodeHost
+
+if TYPE_CHECKING:  # avoids the runtime core <-> parallel import cycle
+    from repro.parallel.options import PoolOptions
 
 
 @dataclass
@@ -32,16 +35,16 @@ class ScheduleConfig:
     peer: Optional[str] = None        # restrict seeds to one peer
     max_rounds: Optional[int] = None  # stop after this many rounds
     start_after: float = 0.0          # delay before the first round
-    parallel: int = 1                 # worker processes per round (spare cores)
     all_seeds: bool = False           # explore every buffered seed, not one
+    #: The pool the stream runs on; batch rounds take its ``workers``
+    #: (spare cores per round).  ``None``: the DiCE's defaults — one
+    #: worker, and stream queues as deep as its observation buffers.
+    pool: Optional[PoolOptions] = None
     #: Streaming mode: the scheduler opens a DiCE stream on start() and
     #: each round becomes an *epoch boundary* (re-checkpoint shipping
     #: only the delta, then harvest) instead of a batch fan-out — seeds
     #: flow to the persistent workers continuously via observe().
     stream: bool = False
-    #: Extra keyword arguments for ``DiCE.stream_start`` in streaming
-    #: mode (e.g. ``{"force_serial": True}`` in tests/sandboxes).
-    stream_options: Dict[str, object] = field(default_factory=dict)
     #: Re-arm delay multiplier per *consecutive* failed round.  After k
     #: failures in a row the next round is scheduled
     #: ``min(cap, interval * failure_backoff ** k)`` seconds out, so a
@@ -84,11 +87,7 @@ class OnlineScheduler:
         self._stopped = False
         self._consecutive_failures = 0
         if self.config.stream:
-            self.dice.stream_start(
-                workers=max(1, self.config.parallel),
-                budget=self.config.budget,
-                **self.config.stream_options,
-            )
+            self.dice.stream_start(self.config.pool, budget=self.config.budget)
         delay = self.config.start_after or self.config.interval
         self._handle = self.host.set_timer(delay, self._fire)
 
@@ -118,11 +117,9 @@ class OnlineScheduler:
         # Parallel knobs are passed only when set, so DiCE-compatible
         # stand-ins with the original run_round signature keep working.
         kwargs = {}
-        if self.config.parallel > 1 or self.config.all_seeds:
-            kwargs = {
-                "parallel": self.config.parallel,
-                "all_seeds": self.config.all_seeds,
-            }
+        workers = self.config.pool.workers if self.config.pool else 1
+        if workers > 1 or self.config.all_seeds:
+            kwargs = {"parallel": workers, "all_seeds": self.config.all_seeds}
         return self.dice.run_round(
             peer=self.config.peer, budget=self.config.budget, **kwargs
         )

@@ -20,7 +20,11 @@ in:
   across workers — a plain dict in process, sharded across manager
   processes for the pool;
 * the stream's inline worker stands in for worker processes on hosts
-  where subprocesses are unavailable, producing bit-identical results.
+  where subprocesses are unavailable, producing bit-identical results;
+* both are configured by the same two frozen records
+  (:mod:`repro.parallel.options`): :class:`EngineOptions`, what every
+  session runs with — handed to each worker once, when it is built —
+  and :class:`PoolOptions`, how the pool behaves.
 
 Determinism is a design invariant, not an accident: worker sessions are
 independent (private engine, solver, and strategy per job), the cache
@@ -46,6 +50,7 @@ from repro.parallel.chaos import (
 )
 from repro.parallel.explorer import ParallelExplorer
 from repro.parallel.jobs import DEFAULT_TENANT, StreamJob
+from repro.parallel.options import EngineOptions, PoolOptions
 from repro.parallel.pool import PoolAutoscaler, WorkerSupervisor
 from repro.parallel.reports import BatchReport, QuarantinedJob, StreamReport
 from repro.parallel.stream import StreamingExplorer
@@ -59,8 +64,10 @@ __all__ = [
     "ChaosEvent",
     "ChaosPlan",
     "DEFAULT_TENANT",
+    "EngineOptions",
     "ParallelExplorer",
     "PoolAutoscaler",
+    "PoolOptions",
     "ProgressBeacon",
     "QuarantinedJob",
     "SessionJob",

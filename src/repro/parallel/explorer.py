@@ -11,8 +11,9 @@ the batch as a plain in-process loop over
 :func:`~repro.parallel.worker.run_session_job` — the reference every
 parity test compares against, and the cheapest way to run a batch that
 gets no second core.  Anything else rides the one process pool the repo
-has: a :class:`~repro.parallel.stream.StreamingExplorer` fed the finite
-corpus and closed, so a batch gets the stream's supervision, hang
+has: a :class:`~repro.parallel.stream.StreamingExplorer` built from the
+batch's own two option records, fed the finite corpus and closed, so a
+batch gets the stream's supervision, hang
 detection and respawn for free, and a host that cannot fork degrades to
 the stream's inline worker with ``used_processes=False`` and the reason
 recorded instead of losing the round.
@@ -26,50 +27,45 @@ docstring for the full determinism argument).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.router import BgpRouter
 from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic.engine import ExplorationBudget
 from repro.concolic.solver.cache import DictConstraintCache
-from repro.core.checkers import FaultChecker
 from repro.core.report import SessionReport
 from repro.parallel.jobs import DEFAULT_NODE, DEFAULT_TENANT, Seed
+from repro.parallel.options import EngineOptions, PoolOptions, resolve_options
 from repro.parallel.reports import BatchReport
 from repro.parallel.stream import StreamingExplorer
 from repro.parallel.worker import SessionJob, run_session_job
 from repro.util.errors import ExplorationError
-from repro.util.ip import Prefix
 
 
 class ParallelExplorer:
-    """Fans batches of observed seeds out to checkpoint-clone workers."""
+    """Fans batches of observed seeds out to checkpoint-clone workers.
+
+    Configured like the stream it rides: one
+    :class:`~repro.parallel.options.EngineOptions` and one
+    :class:`~repro.parallel.options.PoolOptions`, or their field names
+    as keywords.  A ``budget`` given per batch overrides the engine's.
+    """
 
     def __init__(
         self,
-        workers: int = 1,
-        policy: str = "selective",
-        model_kwargs: Optional[dict] = None,
-        checkers: Optional[Sequence[FaultChecker]] = None,
-        anycast_whitelist: Optional[Sequence[Prefix]] = None,
-        strategy: str = "generational",
-        strategy_seed: int = 0,
-        constraint_cache: bool = True,
-        force_serial: bool = False,
+        engine: Optional[EngineOptions] = None,
+        pool: Optional[PoolOptions] = None,
+        **options: object,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.policy = policy
-        self.model_kwargs = dict(model_kwargs or {})
-        self.checkers = list(checkers) if checkers is not None else None
-        self.anycast_whitelist = tuple(anycast_whitelist or ())
-        self.strategy = strategy
-        self.strategy_seed = strategy_seed
-        self.constraint_cache = constraint_cache
-        #: Tests (and hosts without fork) set this to run every batch in
-        #: the deterministic in-process loop regardless of ``workers``.
-        self.force_serial = force_serial
+        self.engine_options, self.pool_options = resolve_options(
+            engine, pool, **options
+        )
+
+    def _engine(self, budget: Optional[ExplorationBudget]) -> EngineOptions:
+        if budget is None:
+            return self.engine_options
+        return replace(self.engine_options, budget=budget)
 
     # -- batch construction ---------------------------------------------------
 
@@ -81,23 +77,10 @@ class ParallelExplorer:
         cache: Optional[object] = None,
         node: str = "",
     ) -> List[SessionJob]:
-        """One picklable job per seed, indexed in batch order."""
+        """One job per seed, indexed in batch order."""
+        engine = self._engine(budget)
         return [
-            SessionJob(
-                index=index,
-                checkpoint=checkpoint,
-                peer=peer,
-                observed=observed,
-                policy=self.policy,
-                model_kwargs=dict(self.model_kwargs),
-                budget=budget,
-                strategy=self.strategy,
-                strategy_seed=self.strategy_seed,
-                anycast_whitelist=self.anycast_whitelist,
-                checkers=self.checkers,
-                cache=cache,
-                node=node,
-            )
+            SessionJob(index, checkpoint, peer, observed, engine, cache, node)
             for index, (peer, observed) in enumerate(seeds)
         ]
 
@@ -135,14 +118,15 @@ class ParallelExplorer:
         returned reports.
         """
         started = time.perf_counter()
+        workers = self.pool_options.workers
         if not any(seeds for _, _, seeds in node_batches):
             return {
-                node_id: BatchReport(workers=self.workers)
+                node_id: BatchReport(workers=workers)
                 for node_id, _, _ in node_batches
             }
         explore = (
             self._explore_in_process
-            if self.workers <= 1 or self.force_serial
+            if workers <= 1 or self.pool_options.force_serial
             else self._explore_pooled
         )
         per_node, checkpoint_seconds, used_processes, fallback_reason = explore(
@@ -152,7 +136,7 @@ class ParallelExplorer:
         return {
             node_id: BatchReport(
                 reports=reports,
-                workers=self.workers,
+                workers=workers,
                 used_processes=used_processes,
                 fallback_reason=fallback_reason,
                 wall_seconds=wall,
@@ -175,7 +159,9 @@ class ParallelExplorer:
             for node_id, router, _ in node_batches
         }
         checkpoint_seconds = time.perf_counter() - capture_started
-        cache = DictConstraintCache() if self.constraint_cache else None
+        cache = (
+            DictConstraintCache() if self.pool_options.constraint_cache else None
+        )
         per_node = {
             node_id: [
                 run_session_job(job)
@@ -195,19 +181,11 @@ class ParallelExplorer:
     ) -> Tuple[Dict[str, List[SessionReport]], float, bool, str]:
         """The batch as a stream with a finite corpus and one epoch."""
         pipeline = StreamingExplorer(
-            workers=self.workers,
-            policy=self.policy,
-            model_kwargs=self.model_kwargs,
-            checkers=self.checkers,
-            anycast_whitelist=self.anycast_whitelist,
-            strategy=self.strategy,
-            strategy_seed=self.strategy_seed,
-            constraint_cache=self.constraint_cache,
-            budget=budget,
+            self._engine(budget),
             # Indices are fixed at submission, so dispatch order cannot
             # change a session; arrival order keeps the scheduler out of
             # a corpus that is explored in full anyway.
-            coverage_guided=False,
+            replace(self.pool_options, coverage_guided=False),
         )
         report = pipeline.explore_corpus({DEFAULT_TENANT: (
             {node_id: router for node_id, router, _ in node_batches},

@@ -34,14 +34,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.bgp.messages import UpdateMessage
-from repro.concolic.engine import ExplorationBudget
-from repro.core.checkers import FaultChecker
 from repro.parallel.chaos import ChaosDirective
-from repro.util.ip import Prefix
 
 Seed = Tuple[str, UpdateMessage]
 
@@ -91,7 +88,8 @@ class StreamJob:
     """One seed's exploration session, shipped *without* its checkpoint.
 
     The checkpoint is resident in the worker (shipped once per epoch per
-    node); the job names the ``(node, epoch)`` image it runs against.
+    node), as are the engine options (given when it was built); the job
+    names the ``(node, epoch)`` image it runs against.
     ``index`` is the seed's arrival number *within its node* — the
     strategy RNG derives from it exactly as a serial-loop job derives
     from its batch position, which is what makes the stream's finding
@@ -103,13 +101,6 @@ class StreamJob:
     peer: str
     observed: UpdateMessage
     node: str = DEFAULT_NODE
-    policy: str = "selective"
-    model_kwargs: Dict[str, object] = field(default_factory=dict)
-    budget: Optional[ExplorationBudget] = None
-    strategy: str = "generational"
-    strategy_seed: int = 0
-    anycast_whitelist: Tuple[Prefix, ...] = ()
-    checkers: Optional[Sequence[FaultChecker]] = None
     #: Dispatch sequence number, reassigned fresh on every (re)dispatch;
     #: the value workers stamp into their progress beacon, mapping a
     #: "busy since t" observation back to one job.  Never feeds the

@@ -31,6 +31,7 @@ import time
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.parallel.options import EngineOptions
 from repro.parallel.reports import StreamReport
 from repro.parallel.transport import (
     MSG_STOP,
@@ -294,8 +295,9 @@ class WorkerPool:
 
     ``workers`` is homogeneous — process workers, or one in-process
     worker — plus, on demand, ``fallback``: the in-process worker dead
-    workers' jobs are re-run on.  ``prime`` ships a fresh worker every
-    node's current image.
+    workers' jobs are re-run on.  Every one of them is built with
+    ``engine`` (and the shared cache); ``prime`` ships a fresh worker
+    every node's current image.
     """
 
     def __init__(
@@ -305,8 +307,10 @@ class WorkerPool:
         autoscaler: Optional[PoolAutoscaler],
         prime: Callable[[_WorkerHandle], None],
         spawn: Callable[..., _WorkerHandle],
+        engine: EngineOptions,
     ) -> None:
         self.report = report
+        self.engine = engine
         self.supervisor = supervisor
         self.autoscaler = autoscaler
         self._prime = prime
@@ -321,7 +325,9 @@ class WorkerPool:
 
     def _spawn(self, slot: int) -> _WorkerHandle:
         """The one place a worker process is created."""
-        return self._spawn_worker(slot, self._results, self.cache)
+        return self._spawn_worker(
+            slot, self._results, self.cache, engine=self.engine
+        )
 
     def start(
         self, count: int, cache: Optional[object], inline: bool, now: float
@@ -346,7 +352,7 @@ class WorkerPool:
         if not self.workers:
             # An in-process pool cannot grow: nothing to autoscale.
             self.autoscaler = None
-            self.workers = [_InlineWorker(cache)]
+            self.workers = [_InlineWorker(cache, self.engine)]
         # Every process is forked before the first queue write starts a
         # feeder thread in this one.
         for worker in self.workers:
@@ -369,7 +375,7 @@ class WorkerPool:
         """The in-process salvage worker, created on demand.  It is sent
         no epochs: each salvaged job brings the one image it names."""
         if self.fallback is None:
-            self.fallback = _InlineWorker(self.cache)
+            self.fallback = _InlineWorker(self.cache, self.engine)
         return self.fallback
 
     def pick(self, turn: int) -> _WorkerHandle:

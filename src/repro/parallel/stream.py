@@ -28,17 +28,17 @@ identical to the fault-free (and serial) run.
 
 from __future__ import annotations
 
+import pickle
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.router import BgpRouter
-from repro.concolic.engine import ExplorationBudget
 from repro.concolic.solver.cache import DictConstraintCache
-from repro.core.checkers import FaultChecker
 from repro.core.report import SessionReport
 from repro.parallel.cache import shutdown_cache_managers, start_sharded_cache
-from repro.parallel.chaos import HIGHEST_SLOT, ChaosDirective, ChaosPlan
+from repro.parallel.chaos import HIGHEST_SLOT, ChaosDirective
 from repro.parallel.dispatch import SeedRotation
 from repro.parallel.images import ImageStore
 from repro.parallel.jobs import (
@@ -55,6 +55,7 @@ from repro.parallel.jobs import (
     scoped_node,
     tenant_of,
 )
+from repro.parallel.options import EngineOptions, PoolOptions, resolve_options
 from repro.parallel.pool import (
     HEARTBEAT_INTERVAL,
     PoolAutoscaler,
@@ -69,7 +70,6 @@ from repro.parallel.transport import (
     _WorkerHandle,
 )
 from repro.util.errors import ExplorationError
-from repro.util.ip import Prefix
 
 def split_chunks(items: Sequence, count: int) -> List[list]:
     """``items`` in ``count`` contiguous chunks (early chunks larger).
@@ -111,6 +111,9 @@ class StreamingExplorer:
     Every worker holds a ``{(node, epoch): image}`` table, so the
     federation costs one pool of ``workers`` processes total; dispatch
     rotates across ASes by recent finding yield (``as_rotation``).
+
+    Configured by the two records of :mod:`repro.parallel.options`, or
+    by their field names as keywords.
     """
 
     #: Seams for a deterministic simulation (set on a subclass; they are
@@ -121,87 +124,45 @@ class StreamingExplorer:
 
     def __init__(
         self,
-        workers: int = 1,
-        policy: str = "selective",
-        model_kwargs: Optional[dict] = None,
-        checkers: Optional[Sequence[FaultChecker]] = None,
-        anycast_whitelist: Optional[Sequence[Prefix]] = None,
-        strategy: str = "generational",
-        strategy_seed: int = 0,
-        constraint_cache: bool = True,
-        force_serial: bool = False,
-        budget: Optional[ExplorationBudget] = None,
-        queue_capacity: int = 32,
-        max_inflight: Optional[int] = None,
-        coverage_guided: bool = True,
-        as_rotation: str = "yield",
-        job_deadline: Optional[float] = 300.0,
-        retry_budget: int = 2,
-        max_restarts: int = 3,
-        restart_backoff: float = 0.05,
-        chaos: Optional[ChaosPlan] = None,
-        autoscale: bool = False,
-        min_workers: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        autoscale_interval: float = 0.05,
+        engine: Optional[EngineOptions] = None,
+        pool: Optional[PoolOptions] = None,
+        **options: object,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
-        if as_rotation not in ("yield", "round-robin"):
-            raise ValueError(
-                f"as_rotation must be 'yield' or 'round-robin', got {as_rotation!r}"
-            )
-        if job_deadline is not None and job_deadline <= 0:
-            raise ValueError(f"job_deadline must be > 0 or None, got {job_deadline}")
-        if retry_budget < 0:
-            raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
-        if not autoscale and (min_workers is not None or max_workers is not None):
-            raise ValueError("min_workers/max_workers require autoscale=True")
-        self.workers = workers
-        self.policy = policy
-        self.model_kwargs = dict(model_kwargs or {})
-        self.checkers = list(checkers) if checkers is not None else None
-        self.anycast_whitelist = tuple(anycast_whitelist or ())
-        self.strategy = strategy
-        self.strategy_seed = strategy_seed
-        self.constraint_cache = constraint_cache
-        self.force_serial = force_serial
-        self.budget = budget
-        #: Per-(node, peer) pending-seed bound; overflowing coalesces the
-        #: oldest.
-        self.queue_capacity = queue_capacity
-        #: Dispatched-but-unfinished bound; keeps seeds in the pending
-        #: queues (where they can still coalesce) instead of piling up
-        #: inside worker queues where they cannot.
-        self.max_inflight = max_inflight if max_inflight is not None else 2 * workers
-        self._auto_inflight = max_inflight is None
-        #: Seconds a single job may run (or its result may be missing)
-        #: before its worker is presumed hung and killed; None disables
-        #: hang detection.  Must comfortably exceed the slowest honest
-        #: session under the configured budget.
-        self.job_deadline = job_deadline
-        #: Hang-kill retries per job before quarantine.
-        self.retry_budget = retry_budget
-        self.chaos = chaos
+        engine, pool = resolve_options(engine, pool, **options)
+        chaos = pool.chaos
         if chaos is not None:
             # A plan may carry knob overrides (hang plans ship a short
             # deadline so detection takes ~1s in tests, not 5 minutes).
-            if chaos.job_deadline is not None:
-                self.job_deadline = chaos.job_deadline
-            if chaos.retry_budget is not None:
-                self.retry_budget = chaos.retry_budget
+            pool = replace(
+                pool,
+                job_deadline=chaos.job_deadline or pool.job_deadline,
+                retry_budget=(
+                    pool.retry_budget if chaos.retry_budget is None
+                    else chaos.retry_budget
+                ),
+            )
+        #: What every session runs with; each worker gets it when built.
+        self.engine_options = engine
+        self.pool_options = pool
+        workers = pool.workers
+        #: Dispatched-but-unfinished bound; keeps seeds in the pending
+        #: queues (where they can still coalesce) instead of piling up
+        #: inside worker queues where they cannot.
+        self.max_inflight = (
+            2 * workers if pool.max_inflight is None else pool.max_inflight
+        )
         # Elastic service mode.  ``workers`` becomes the pool's
         # *capacity* (max unless overridden) and the pool starts at
         # ``min_workers`` — a fresh service has no load, so starting
         # small and growing on demand is the elastic behavior itself.
         autoscaler = PoolAutoscaler(
-            min_workers=min_workers if min_workers is not None else 1,
-            max_workers=max_workers if max_workers is not None else workers,
-            interval=autoscale_interval,
-            seed=strategy_seed,
-        ) if autoscale else None
+            min_workers=1 if pool.min_workers is None else pool.min_workers,
+            max_workers=(
+                workers if pool.max_workers is None else pool.max_workers
+            ),
+            interval=pool.autoscale_interval,
+            seed=engine.strategy_seed,
+        ) if pool.autoscale else None
 
         self.report = StreamReport(workers=workers)
         #: The named tenants' private reports (the default tenant, ``""``,
@@ -209,16 +170,17 @@ class StreamingExplorer:
         self._tenant_reports: Dict[str, StreamReport] = {}
         self._jobs = JobTable()
         self._images = ImageStore(self.report, self._jobs)
-        self._rotation = SeedRotation(coverage_guided, as_rotation)
+        self._rotation = SeedRotation(pool.coverage_guided, pool.as_rotation)
         self._pool = WorkerPool(
             self.report,
             WorkerSupervisor(
-                max_restarts=max_restarts, backoff=restart_backoff,
-                seed=strategy_seed,
+                max_restarts=pool.max_restarts, backoff=pool.restart_backoff,
+                seed=engine.strategy_seed,
             ),
             autoscaler,
             prime=self._images.prime,
             spawn=self._spawn,
+            engine=engine,
         )
         self._next_index: Dict[str, int] = {}
         self._next_seq = 0
@@ -252,23 +214,35 @@ class StreamingExplorer:
             raise ExplorationError("stream already started")
         if not live_routers:
             raise ExplorationError("start_nodes needs at least one live router")
+        options = self.pool_options
+        if not options.force_serial:
+            # Process workers receive the engine options once, when they
+            # are built: refuse what cannot cross a process boundary here
+            # rather than fail every job inside the workers.
+            try:
+                pickle.dumps(self.engine_options)
+            except Exception as exc:
+                raise ExplorationError(
+                    f"engine options are not picklable: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
         self._started_at = time.perf_counter()
         self._register_tenant(tenant, live_routers)
-        self._setup_cache(multiprocess=not self.force_serial)
-        initial = self.workers
+        self._setup_cache(multiprocess=not options.force_serial)
+        initial = options.workers
         if self._pool.autoscaler is not None:
-            initial = min(self.workers, self._pool.autoscaler.min_workers)
+            initial = min(initial, self._pool.autoscaler.min_workers)
         self._pool.start(
-            initial, self._cache, inline=self.force_serial, now=self._clock()
+            initial, self._cache, inline=options.force_serial, now=self._clock()
         )
-        if self.chaos is not None and not self.report.used_processes:
+        if options.chaos is not None and not self.report.used_processes:
             # An inline pool would execute injected hangs for real (the
             # sleep runs on the coordinator thread); chaos only makes
             # sense against process workers.
             self.report.chaos_events.append(
-                f"chaos plan {self.chaos.name!r} disabled: no process workers"
+                f"chaos plan {options.chaos.name!r} disabled: no process workers"
             )
-            self.chaos = None
+            self.pool_options = replace(options, chaos=None)
         self._started = True
         self._fit_window()
         return self
@@ -291,7 +265,9 @@ class StreamingExplorer:
                 )
             self._images.register(scoped, router)
         if tenant:
-            self._tenant_reports[tenant] = StreamReport(workers=self.workers)
+            self._tenant_reports[tenant] = StreamReport(
+                workers=self.pool_options.workers
+            )
 
     def add_tenant(
         self, tenant: str, live_routers: Dict[str, BgpRouter]
@@ -333,11 +309,11 @@ class StreamingExplorer:
         service run all are.  A finite corpus is explored in full, so
         the pending queues are sized to hold it: nothing coalesces.
         """
-        self.queue_capacity = max(
-            [self.queue_capacity]
+        self.pool_options = replace(self.pool_options, queue_capacity=max(
+            [self.pool_options.queue_capacity]
             + [len(seeds) for _, by_node in corpus.values()
                for seeds in by_node.values()]
-        )
+        ))
         tenants = list(corpus)
         self.start_nodes(corpus[tenants[0]][0], tenant=tenants[0])
         try:
@@ -376,10 +352,10 @@ class StreamingExplorer:
         self.close()
 
     def _setup_cache(self, multiprocess: bool) -> None:
-        if not self.constraint_cache:
+        if not self.pool_options.constraint_cache:
             return
         if multiprocess:
-            shards = min(4, self.workers)
+            shards = min(4, self.pool_options.workers)
             try:
                 self._cache, self._cache_managers = start_sharded_cache(shards)
                 self.report.cache_shards = shards
@@ -432,16 +408,11 @@ class StreamingExplorer:
                 peer=peer,
                 observed=update,
                 node=node,
-                policy=self.policy,
-                model_kwargs=dict(self.model_kwargs),
-                budget=self.budget,
-                strategy=self.strategy,
-                strategy_seed=self.strategy_seed,
-                anycast_whitelist=self.anycast_whitelist,
-                checkers=self.checkers,
             )
         )
-        superseded = self._rotation.push(record, self.queue_capacity)
+        superseded = self._rotation.push(
+            record, self.pool_options.queue_capacity
+        )
         if superseded is not None:
             self._finish(superseded, JobState.COALESCED)
             self.report.seeds_coalesced += 1
@@ -635,16 +606,16 @@ class StreamingExplorer:
         """
         worker.lost = True
         worker.kill()
+        budget = self.pool_options.retry_budget
         for record in self._jobs.on_slot(worker.slot):
             if not hang:
                 self._salvage(record)
                 continue
             if record is suspect:
                 record.hang_retries += 1
-                if record.hang_retries > self.retry_budget:
+                if record.hang_retries > budget:
                     self._quarantine(
-                        record,
-                        f"{hang}; retry budget ({self.retry_budget}) exhausted",
+                        record, f"{hang}; retry budget ({budget}) exhausted",
                     )
                     continue
                 if record.job.chaos is not None and not record.job.chaos.sticky:
@@ -663,10 +634,10 @@ class StreamingExplorer:
 
     def _apply_chaos_attach(self, job: StreamJob) -> None:
         """Attach any job-riding faults scheduled for this dispatch."""
-        if self.chaos is None:
+        if self.pool_options.chaos is None:
             return
         hang, drop, sticky = 0.0, False, False
-        for event in self.chaos.events_at(self._chaos_clock):
+        for event in self.pool_options.chaos.events_at(self._chaos_clock):
             if not event.attaches:
                 continue
             directive = event.directive()
@@ -681,9 +652,9 @@ class StreamingExplorer:
 
     def _fire_chaos_dispatch_events(self) -> None:
         """Fire coordinator-side faults scheduled right after this dispatch."""
-        if self.chaos is None:
+        if self.pool_options.chaos is None:
             return
-        for event in self.chaos.events_at(self._chaos_clock):
+        for event in self.pool_options.chaos.events_at(self._chaos_clock):
             if event.attaches:
                 continue
             if event.kind == "kill-worker":
@@ -755,7 +726,7 @@ class StreamingExplorer:
         return progressed
 
     def _sweep_hangs(self, now: float) -> bool:
-        deadline = self.job_deadline
+        deadline = self.pool_options.job_deadline
         if deadline is None:
             return False
         progressed = False
@@ -798,7 +769,8 @@ class StreamingExplorer:
         """Elastic pools re-derive the in-flight window from the live
         size, so a grown pool is actually fed and a shrunk one keeps
         seeds in the (coalescing) pending queues."""
-        if self._auto_inflight and self._pool.autoscaler is not None:
+        auto = self.pool_options.max_inflight is None
+        if auto and self._pool.autoscaler is not None:
             self.max_inflight = max(2, 2 * self.report.pool_size)
 
     def _next_wakeup(self, now: float, cap: float = 0.25) -> float:
@@ -813,8 +785,8 @@ class StreamingExplorer:
             self._pool.supervisor.next_due(),
         ]
         oldest = self._jobs.oldest_attempt()
-        if self.job_deadline is not None and oldest is not None:
-            deadlines.append(oldest + self.job_deadline)
+        if self.pool_options.job_deadline is not None and oldest is not None:
+            deadlines.append(oldest + self.pool_options.job_deadline)
         if self._pool.autoscaler is not None:
             deadlines.append(self._pool.autoscaler.next_tick())
         soonest = min(due for due in deadlines if due is not None)

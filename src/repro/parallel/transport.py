@@ -8,6 +8,10 @@ queue.  An :class:`_InlineWorker` runs the identical
 and it is where a dead worker's jobs are re-run.  Both are a
 :class:`_WorkerHandle`; the coordinator never asks which one it holds.
 
+A worker is built with the run's
+:class:`~repro.parallel.options.EngineOptions` and the shared cache;
+from then on its only inputs are messages.
+
 The protocol is node-aware: every job names its federation node and a
 worker holds a ``{(node, epoch): image}`` table, so *one* pool serves
 every AS of every tenant (a job's tenant scopes the worker's view
@@ -33,6 +37,7 @@ from repro.checkpoint.snapshot import Checkpoint
 from repro.core.report import SessionReport
 from repro.parallel.cache import TenantCacheView
 from repro.parallel.jobs import ImageKey, StreamJob, plain_node, tenant_of
+from repro.parallel.options import EngineOptions
 from repro.parallel.worker import ProgressBeacon, SessionJob, run_session_job
 from repro.util.errors import CheckpointError
 
@@ -71,8 +76,11 @@ class _WorkerState:
     epoch never touches another AS's resident image.
     """
 
-    def __init__(self, cache: Optional[object]) -> None:
+    def __init__(self, cache: Optional[object], engine: EngineOptions) -> None:
         self.cache = cache
+        #: The configuration of every session this worker runs, fixed
+        #: when the worker is built.
+        self.engine = engine
         self.images: Dict[ImageKey, CheckpointImage] = {}
         self.checkpoints: Dict[ImageKey, Checkpoint] = {}
         #: Tenant-scoped cache views, built once per tenant per worker.
@@ -144,36 +152,26 @@ class _WorkerState:
             # no segment is unpickled again after this.
             checkpoint = image.as_checkpoint()
             self.checkpoints[job.image_key] = checkpoint
-        return run_session_job(
-            SessionJob(
-                index=job.index,
-                checkpoint=checkpoint,
-                peer=job.peer,
-                observed=job.observed,
-                policy=job.policy,
-                model_kwargs=dict(job.model_kwargs),
-                budget=job.budget,
-                strategy=job.strategy,
-                strategy_seed=job.strategy_seed,
-                anycast_whitelist=job.anycast_whitelist,
-                checkers=job.checkers,
-                cache=self._cache_for(tenant_of(job.node)),
-                node=plain_node(job.node),
-            )
-        )
+        cache = self._cache_for(tenant_of(job.node))
+        return run_session_job(SessionJob(
+            job.index, checkpoint, job.peer, job.observed, self.engine, cache,
+            plain_node(job.node),
+        ))
 
 
-def stream_worker_main(job_queue, result_queue, cache, beacon) -> None:
+def stream_worker_main(job_queue, result_queue, cache, beacon, engine) -> None:
     """Entry point of one persistent streaming worker process.
 
-    ``beacon`` (a :class:`~repro.parallel.worker.ProgressBeacon`) is
+    ``cache`` and ``engine`` arrive once, as process arguments (a forked
+    child inherits them).  ``beacon`` (a
+    :class:`~repro.parallel.worker.ProgressBeacon`) is
     stamped with the job's dispatch sequence before the session runs and
     cleared after the result is queued — the worker's half of the hang-
     detection protocol.  Stamping brackets the *whole* handle, including
     result pickling: a job is only "done" once its result is safely in
     the queue, so a worker dying mid-put still reads as busy.
     """
-    state = _WorkerState(cache)
+    state = _WorkerState(cache, engine)
     while True:
         try:
             msg = job_queue.get()
@@ -235,14 +233,16 @@ class _WorkerHandle:
 class _ProcessWorker(_WorkerHandle):
     """A persistent worker process and its dedicated FIFO job queue."""
 
-    def __init__(self, slot: int, result_queue, cache) -> None:
+    def __init__(
+        self, slot: int, result_queue, cache, *, engine: EngineOptions
+    ) -> None:
         super().__init__()
         self.slot = slot
         self.beacon = ProgressBeacon()
         self.queue: multiprocessing.Queue = multiprocessing.Queue()
         self.process = multiprocessing.Process(
             target=stream_worker_main,
-            args=(self.queue, result_queue, cache, self.beacon),
+            args=(self.queue, result_queue, cache, self.beacon, engine),
             daemon=True,
             name=f"repro-stream-worker-{slot}",
         )
@@ -316,9 +316,9 @@ class _InlineWorker(_WorkerHandle):
     coalescing behave identically under the serial fallback.
     """
 
-    def __init__(self, cache: Optional[object]) -> None:
+    def __init__(self, cache: Optional[object], engine: EngineOptions) -> None:
         super().__init__()
-        self._state = _WorkerState(cache)
+        self._state = _WorkerState(cache, engine)
         self._mailbox: Deque[tuple] = deque()
         self.alive = True
         #: ``worker_seconds`` bills process lifetimes only.

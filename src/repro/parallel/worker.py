@@ -1,21 +1,23 @@
-"""Picklable work units and the functions worker processes execute.
+"""Session jobs and the function every worker runs them with.
 
-A worker receives everything a checkpoint-clone-explore session needs as
-one picklable job object and returns a transport-compacted report.
 :class:`SessionJob` is a full DiCE session: restore the checkpoint into
 an isolated clone, rebuild the marking model from the observed seed,
-explore the UPDATE handler, run the fault checkers.
+explore the UPDATE handler, run the fault checkers — all under one
+:class:`~repro.parallel.options.EngineOptions`.  The serial loop builds
+one per seed; a stream worker builds one per
+:class:`~repro.parallel.jobs.StreamJob` from its resident checkpoint and
+the options it was handed when it was built, so no job carries them.
 
 Workers build their *own* engine, solver, checkers, and strategy from
-the job description rather than receiving live objects: every stateful
+the options rather than receiving live objects: every stateful
 component is private to the session, which is what makes results
 independent of how jobs are scheduled onto processes.  The one shared
 object — the constraint cache — is safe to share because cached entries
 are bit-identical to a local solve (see :mod:`repro.parallel.cache`).
 
 Expression transport: any :class:`~repro.concolic.expr.Expr` crossing
-the process boundary (crash records keep their path conditions, jobs may
-carry constraint-bearing checkers) pickles through its constructor
+the process boundary (crash records keep their path conditions, options
+may carry constraint-bearing checkers) pickles through its constructor
 (``Expr.__reduce__``), so nodes *re-intern* into the receiving process's
 hash-consing table on arrival — identity fast paths and per-node caches
 hold in every worker, not just the process that built the expression.
@@ -27,19 +29,19 @@ import copy
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.bgp.messages import UpdateMessage
 from repro.checkpoint.snapshot import Checkpoint
-from repro.concolic.engine import ConcolicEngine, ExplorationBudget
+from repro.concolic.engine import ConcolicEngine
 from repro.concolic.solver import ConstraintSolver
 from repro.concolic.strategies import make_strategy
-from repro.core.checkers import FaultChecker, default_checkers
+from repro.core.checkers import default_checkers
 from repro.core.explorer import DiceExplorer
 from repro.core.inputs import model_for
 from repro.core.isolation import restore_isolated
 from repro.core.report import SessionReport
-from repro.util.ip import Prefix
+from repro.parallel.options import EngineOptions
 from repro.util.rng import derive_seed
 
 
@@ -90,19 +92,13 @@ class ProgressBeacon:
 
 @dataclass
 class SessionJob:
-    """One checkpoint-clone-explore session, ready to ship to a worker."""
+    """One checkpoint-clone-explore session, ready to run."""
 
     index: int
     checkpoint: Checkpoint
     peer: str
     observed: UpdateMessage
-    policy: str = "selective"
-    model_kwargs: Dict[str, object] = field(default_factory=dict)
-    budget: Optional[ExplorationBudget] = None
-    strategy: str = "generational"
-    strategy_seed: int = 0
-    anycast_whitelist: Tuple[Prefix, ...] = ()
-    checkers: Optional[Sequence[FaultChecker]] = None
+    options: EngineOptions = field(default_factory=EngineOptions)
     cache: Optional[object] = None
     #: Federation node this session belongs to ("" for single-node runs).
     #: Pure provenance — it never feeds the strategy RNG, so a session is
@@ -118,31 +114,33 @@ def run_session_job(job: SessionJob) -> SessionReport:
     # behind worker-count-independent results.
     solver = ConstraintSolver(cache=job.cache, deterministic_rng=True)
     engine = ConcolicEngine(solver=solver, keep_results=False)
-    # Deep copy: in the serial loop jobs are never pickled, so a
-    # plain list() would hand the same (possibly stateful) checker
-    # instances to every session — and make serial and multi-process
-    # runs diverge for checkers that accumulate state across check().
+    options = job.options
+    # Deep copy: in the serial loop (and in a forked worker) the options
+    # are never pickled, so a plain list() would hand the same (possibly
+    # stateful) checker instances to every session — and make serial
+    # and multi-process runs diverge for checkers that accumulate state
+    # across check().
     checkers = (
-        copy.deepcopy(list(job.checkers))
-        if job.checkers is not None
-        else default_checkers(list(job.anycast_whitelist) or None)
+        copy.deepcopy(list(options.checkers))
+        if options.checkers is not None
+        else default_checkers(list(options.anycast_whitelist) or None)
     )
     explorer = DiceExplorer(engine=engine, checkers=checkers)
     # The clone restored here stands in for the live router: same state,
     # same sessions, but isolated — the live node never pauses for a
     # worker (the paper's "off the critical path").
     clone, _env = restore_isolated(job.checkpoint)
-    model = model_for(job.observed, job.policy, **job.model_kwargs)
+    model = model_for(job.observed, options.policy, **dict(options.model_kwargs))
     report = explorer.explore_update(
         clone,
         job.peer,
         job.observed,
         model=model,
-        budget=job.budget,
+        budget=options.budget,
         # Seeded per job *index*, not per worker: placement is irrelevant.
         strategy=make_strategy(
-            job.strategy,
-            seed=derive_seed(job.strategy_seed, "parallel-job", job.index),
+            options.strategy,
+            seed=derive_seed(options.strategy_seed, "parallel-job", job.index),
         ),
         checkpoint=job.checkpoint,
     )

@@ -129,6 +129,40 @@ class TestSharedFederationPool:
                 tiered_built.seed_corpus(), stream=True, stream_epochs=0
             )
 
+    def test_stream_epochs_require_the_stream(self, tiered_built):
+        """Epochs act on the shared pool: asking for them on a batch run
+        is an error, as it is for chaos, epoch_churn and autoscale."""
+        from repro.util.errors import ExplorationError
+
+        with pytest.raises(ExplorationError, match="requires stream=True"):
+            tiered_built.federation().explore(
+                tiered_built.seed_corpus(), budget=BUDGET, force_serial=True,
+                stream_epochs=3,
+            )
+
+
+def two_tenants():
+    tenants = {}
+    for name in ("line-3", "star-6"):
+        built = get_scenario(name).build(seed=7)
+        built.converge()
+        tenants[name] = (built.federation(), built.seed_corpus())
+    return tenants
+
+
+@pytest.mark.parametrize("rotation", ["yield", "round-robin"])
+def test_multi_tenant_run_honours_as_rotation(rotation):
+    """Round-robin rotation keeps no yield EWMAs, so each tenant reports
+    an empty ``scheduler_yield``; yield rotation reports them."""
+    from repro.core.federation import explore_tenants
+
+    reports, _ = explore_tenants(
+        two_tenants(), budget=BUDGET, force_serial=True, as_rotation=rotation
+    )
+    assert set(reports) == {"line-3", "star-6"}
+    for report in reports.values():
+        assert bool(report.scheduler_yield) == (rotation == "yield")
+
 
 def hijack(prefix, asn):
     return UpdateMessage(

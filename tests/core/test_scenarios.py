@@ -10,6 +10,7 @@ from repro.bgp.config import (
 from repro.concolic import ExplorationBudget
 from repro.core import (
     BuiltScenario,
+    FederatedExploration,
     Scenario,
     get_scenario,
     list_scenarios,
@@ -143,9 +144,11 @@ class TestFederatedExploration:
         assert "pre-propagation" in stages
 
     def test_hop_starved_wave_reports_non_convergence(self, tiered_built):
-        report = tiered_built.federation().explore(
-            tiered_built.seed_corpus(),
-            budget=SMALL_BUDGET, force_serial=True, max_rounds=1,
+        federation = FederatedExploration(
+            dict(tiered_built.routers), graph=tiered_built.graph, max_rounds=1
+        )
+        report = federation.explore(
+            tiered_built.seed_corpus(), budget=SMALL_BUDGET, force_serial=True
         )
         assert report.converged is False
         assert report.stats.suppressed_hop_budget > 0
@@ -223,6 +226,37 @@ class TestCli:
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
         assert "tiered-8" in out and "8 ASes" in out
+
+    def test_stream_epochs_without_stream_exits_like_autoscale(self, capsys):
+        from repro.cli import main
+
+        assert main(["explore", "--scenario", "line-3", "--autoscale"]) == 2
+        autoscale_error = capsys.readouterr().err
+        assert "add --stream" in autoscale_error
+        code = main(["explore", "--scenario", "line-3", "--stream-epochs", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == autoscale_error
+
+    def test_multi_tenant_cli_honours_as_rotation(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.core import federation
+
+        seen = {}
+        explore_tenants = federation.explore_tenants
+
+        def spy(*args, **kwargs):
+            reports, summary = explore_tenants(*args, **kwargs)
+            seen.update(reports)
+            return reports, summary
+
+        monkeypatch.setattr(federation, "explore_tenants", spy)
+        code = main([
+            "explore", "--scenario", "line-3,star-6", "--stream",
+            "--as-rotation", "round-robin", "--executions", "2",
+        ])
+        assert code in (0, 2)
+        assert set(seen) == {"line-3", "star-6"}
+        assert all(report.scheduler_yield == {} for report in seen.values())
 
     def test_explore_scenario_composes_with_stream_and_workers(self, capsys):
         from repro.cli import main

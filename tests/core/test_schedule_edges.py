@@ -113,6 +113,14 @@ class TestScheduler:
         scheduler.stop()
         assert scheduler.stats.last_fired_at == pytest.approx(7.0)
 
+    def test_misspelt_pool_option_fails_when_the_config_is_built(self):
+        """A typo in the pool options is caught building the config, not
+        when the scheduler starts its stream inside a live simulator."""
+        from repro.parallel import PoolOptions
+
+        with pytest.raises(TypeError, match="force_seral"):
+            ScheduleConfig(stream=True, pool=PoolOptions(force_seral=True))
+
 
 class TestSchedulerFailureContainment:
     def test_failed_round_rearms_the_timer(self):

@@ -377,7 +377,7 @@ class TestSupervisedRecovery:
             chaos=get_chaos_plan("kill-one-worker"),
         )
         report = stream.close()
-        assert stream.chaos is None
+        assert stream.pool_options.chaos is None
         assert any("disabled" in event for event in report.chaos_events)
         assert report.jobs_completed == len(seeds)
         assert finding_keys(report) == serial_keys

@@ -18,7 +18,7 @@ from repro.core.report import SessionReport
 from repro.core.schedule import OnlineScheduler, ScheduleConfig
 from repro.core import get_scenario
 from repro.core.scenario import synthesize_hijack_corpus
-from repro.parallel import ParallelExplorer
+from repro.parallel import ParallelExplorer, PoolOptions
 from repro.parallel import stream as stream_module
 from repro.parallel import transport
 from repro.util.errors import ExplorationError
@@ -190,7 +190,7 @@ class TestSchedulerParallel:
             scenario.host, dice,
             ScheduleConfig(
                 interval=10.0, budget=BUDGET, max_rounds=1,
-                parallel=2, all_seeds=True,
+                pool=PoolOptions(workers=2), all_seeds=True,
             ),
         )
         scheduler.start()

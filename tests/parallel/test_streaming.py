@@ -15,7 +15,7 @@ from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic.engine import ExplorationBudget
 from repro.core.dice import DiCE
 from repro.core.schedule import OnlineScheduler, ScheduleConfig
-from repro.parallel import ParallelExplorer, StreamingExplorer
+from repro.parallel import ParallelExplorer, PoolOptions, StreamingExplorer
 from repro.util.errors import ExplorationError
 from repro.util.ip import Prefix, ip_to_int
 
@@ -297,9 +297,9 @@ class TestFailureSurfacing:
     def test_unpicklable_job_reports_error_instead_of_hanging(
         self, erroneous_scenario
     ):
-        """An unpicklable payload must fail loudly at dispatch: handed to
-        mp.Queue it would be dropped by the feeder thread and the job
-        would stay in-flight forever, livelocking drain()."""
+        """Engine options that cannot cross a process boundary must fail
+        loudly, once, when the pool starts — not job by job inside the
+        workers, and never by hanging."""
 
         class UnpicklableChecker:
             def __getstate__(self):
@@ -311,14 +311,9 @@ class TestFailureSurfacing:
         stream = StreamingExplorer(
             workers=1, budget=BUDGET, checkers=[UnpicklableChecker()]
         )
-        stream.start(erroneous_scenario.provider)
-        if not stream.report.used_processes:
-            stream.close()
-            pytest.skip("no process workers on this host")
-        stream.submit("customer", seed_update())
-        report = stream.close(timeout=30)
-        assert report.jobs_completed == 0
-        assert report.errors and "not picklable" in report.errors[0]
+        with pytest.raises(ExplorationError, match="not picklable"):
+            stream.start(erroneous_scenario.provider)
+        assert not stream.report.used_processes
 
     def test_observe_after_external_close_detaches(self, erroneous_scenario):
         """Closing the explorer directly (not via stream_stop) must not
@@ -637,9 +632,8 @@ class TestSchedulerStreaming:
                 interval=10.0,
                 budget=BUDGET,
                 max_rounds=1,
-                parallel=1,
+                pool=PoolOptions(force_serial=True),
                 stream=True,
-                stream_options={"force_serial": True},
             ),
         )
         scheduler.start()
@@ -660,7 +654,7 @@ class TestSchedulerStreaming:
                 interval=1000.0,  # no epoch boundary will fire
                 budget=BUDGET,
                 stream=True,
-                stream_options={"force_serial": True},
+                pool=PoolOptions(force_serial=True),
             ),
         )
         scheduler.start()
