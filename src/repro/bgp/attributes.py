@@ -154,6 +154,8 @@ class AsPath:
         return out
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, AsPath):
             return NotImplemented
         mine = [(s.kind, tuple(as_concrete_int(a) for a in s.asns)) for s in self.segments]
@@ -188,7 +190,11 @@ class PathAttributes:
 
     Assigned to only while being decoded; never mutated once a route
     carrying it is in a RIB (filters build a new set, others ``copy()``
-    first): checkpoint clones share it with the live node.
+    first): checkpoint clones share it with the live node.  Decoded
+    messages are shared too — :func:`repro.bgp.messages.decode_message`
+    hands every recipient of the same bytes the same object, and one
+    update group's members the same exported set — so a set reached
+    through a message must never be mutated either.
     """
 
     origin: IntLike = ORIGIN_INCOMPLETE

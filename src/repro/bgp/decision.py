@@ -127,6 +127,8 @@ def routes_equal(a: Optional[Route], b: Optional[Route]) -> bool:
     if a.prefix != b.prefix or a.peer != b.peer or a.source != b.source:
         return False
     attrs_a, attrs_b = a.attributes, b.attributes
+    if attrs_a is attrs_b:
+        return True
     def norm(value, default=None):
         return default if value is None else as_concrete_int(value)
     return (

@@ -40,7 +40,10 @@ class RouteView:
 
     ``network``/``length`` may be symbolic during exploration; actions
     mutate the attribute fields in place and the interpreter copies the
-    result back into a fresh :class:`PathAttributes`.
+    result back into a fresh :class:`PathAttributes`.  The view names no
+    peer, so no filter can depend on which peer a route is exported to:
+    that is what lets the router run an export filter once per update
+    group (:meth:`repro.bgp.router.BgpRouter._export_change`).
     """
 
     network: IntLike
@@ -51,15 +54,10 @@ class RouteView:
     med: Optional[IntLike]
     local_pref: Optional[IntLike]
     communities: List[IntLike]
-    peer: Optional[str] = None
 
     @classmethod
     def of(
-        cls,
-        network: IntLike,
-        length: IntLike,
-        attributes: PathAttributes,
-        peer: Optional[str] = None,
+        cls, network: IntLike, length: IntLike, attributes: PathAttributes
     ) -> "RouteView":
         return cls(
             network=network,
@@ -70,7 +68,6 @@ class RouteView:
             med=attributes.med,
             local_pref=attributes.local_pref,
             communities=list(attributes.communities),
-            peer=peer,
         )
 
     def to_attributes(self) -> PathAttributes:

@@ -27,6 +27,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.bgp.attributes import (
+    NO_ADVERTISE,
+    NO_EXPORT,
+    ORIGIN_IGP,
+    AsPath,
+    PathAttributes,
+    encode_attributes,
+)
 from repro.bgp.config import NeighborConfig, RouterConfig, parse_config_cached
 from repro.bgp.decision import best_route, routes_equal
 from repro.bgp.fsm import Session, SessionFsm, SessionState
@@ -116,8 +124,6 @@ class BgpRouter(SimNode):
     # -- local origination ------------------------------------------------------
 
     def _originate(self, prefix: Prefix) -> None:
-        from repro.bgp.attributes import ORIGIN_IGP, AsPath, PathAttributes
-
         route = Route(
             prefix=prefix,
             attributes=PathAttributes(
@@ -144,11 +150,15 @@ class BgpRouter(SimNode):
         return SessionFsm(session, self.config.asn, self.config.router_id)
 
     def _transmit(self, peer_id: str, message: Message) -> None:
+        self._send(peer_id, type(message).__name__, message.encode())
+
+    def _send(self, peer_id: str, kind: str, payload: bytes) -> None:
+        """Transmit an encoded ``kind`` message (an update group's shared bytes)."""
         session = self.sessions.get(peer_id)
         if session is not None:
             session.messages_out += 1
-        self.counters.increment(f"sent_{type(message).__name__}")
-        self.env.send(peer_id, message.encode())
+        self.counters.increment(f"sent_{kind}")
+        self.env.send(peer_id, payload)
 
     # -- message dispatch -------------------------------------------------------------
 
@@ -255,7 +265,7 @@ class BgpRouter(SimNode):
         self, peer_id: str, entry: NlriEntry, update: UpdateMessage
     ) -> List[Prefix]:
         """Run import policy on one announced NLRI; returns changed prefixes."""
-        view = RouteView.of(entry.network, entry.length, update.attributes, peer_id)
+        view = RouteView.of(entry.network, entry.length, update.attributes)
         program = self.config.filter_named(self.sessions[peer_id].peer.import_filter)
         result = self.interpreter.run(program, view)
         prefix = entry.to_prefix()
@@ -299,37 +309,65 @@ class BgpRouter(SimNode):
             self._export_change(change)
 
     def _export_change(self, change: RibChange) -> None:
+        """Advertise or withdraw one Loc-RIB change toward every established peer.
+
+        Peers sharing an export filter form an update group: the filter
+        and the eBGP rewrite run once per group, and the UPDATE is encoded
+        once and sent as the same bytes to each member.  Only the
+        Adj-RIB-Out record, the already-advertised check and the counters
+        are per peer.  Peers are still visited in ``self.sessions`` order,
+        so the event schedule is that of a per-peer export.
+        """
+        route = change.new
+        groups: Dict[str, Optional[PathAttributes]] = {}
+        payloads: Dict[str, bytes] = {}
+        withdrawal: Optional[bytes] = None
         for peer_id, session in self.sessions.items():
             if not session.established:
                 continue
-            if change.new is not None and change.new.peer != peer_id:
-                exported = self._apply_export_policy(peer_id, change.new)
-                if exported is not None:
+            if route is not None and route.peer != peer_id:
+                group = session.peer.export_filter
+                if group not in groups:
+                    groups[group] = self._export_attributes(group, route)
+                attributes = groups[group]
+                if attributes is not None:
+                    exported = Route(
+                        prefix=route.prefix,
+                        attributes=attributes,
+                        peer=peer_id,
+                        source=route.source,
+                        learned_at=route.learned_at,
+                    )
                     previous = self.adj_rib_out.advertised(peer_id, change.prefix)
                     if previous is None or not routes_equal(previous, exported):
                         self.adj_rib_out.record(peer_id, exported)
-                        self._transmit(
-                            peer_id,
-                            UpdateMessage(
-                                attributes=exported.attributes,
+                        if group not in payloads:
+                            payloads[group] = UpdateMessage(
+                                attributes=attributes,
                                 nlri=[NlriEntry.from_prefix(change.prefix)],
-                            ),
-                        )
+                            ).encode()
+                        self._send(peer_id, "UpdateMessage", payloads[group])
                         self.counters.increment("updates_sent")
                     continue
             # Route gone, learned from this peer, or export-rejected:
             # withdraw if it had been advertised.
             if self.adj_rib_out.remove(peer_id, change.prefix) is not None:
-                self._transmit(
-                    peer_id,
-                    UpdateMessage(withdrawn=[NlriEntry.from_prefix(change.prefix)]),
-                )
+                if withdrawal is None:
+                    withdrawal = UpdateMessage(
+                        withdrawn=[NlriEntry.from_prefix(change.prefix)]
+                    ).encode()
+                self._send(peer_id, "UpdateMessage", withdrawal)
                 self.counters.increment("withdrawals_sent")
 
-    def _apply_export_policy(self, peer_id: str, route: Route) -> Optional[Route]:
-        """Export filter + eBGP attribute rewriting; None when rejected."""
-        from repro.bgp.attributes import NO_ADVERTISE, NO_EXPORT
+    def _export_attributes(
+        self, export_filter: str, route: Route
+    ) -> Optional[PathAttributes]:
+        """Export filter + eBGP attribute rewriting; None when rejected.
 
+        A function of the filter name and the route alone: a filter sees
+        no peer (:class:`RouteView` has none) and the rewrite uses only
+        this router's identity, so one result serves a whole update group.
+        """
         # RFC 1997 well-known communities: NO_ADVERTISE blocks every peer,
         # NO_EXPORT blocks eBGP peers (all sessions here are eBGP).  The
         # membership test runs before the filter so a symbolic community
@@ -338,26 +376,16 @@ class BgpRouter(SimNode):
             return None
         if route.attributes.has_community(NO_EXPORT):
             return None
-        view = RouteView.of(
-            route.prefix.network, route.prefix.length, route.attributes, peer_id
-        )
-        program = self.config.filter_named(self.sessions[peer_id].peer.export_filter)
-        result = self.interpreter.run(program, view)
+        view = RouteView.of(route.prefix.network, route.prefix.length, route.attributes)
+        result = self.interpreter.run(self.config.filter_named(export_filter), view)
         if not result.accepted:
             return None
         attrs = result.attributes
-        attrs = replace(
+        return replace(
             attrs,
             as_path=attrs.as_path.prepend(self.config.asn),
             next_hop=self.config.router_id,
             local_pref=None,  # LOCAL_PREF is not sent on eBGP sessions
-        )
-        return Route(
-            prefix=route.prefix,
-            attributes=attrs,
-            peer=peer_id,
-            source=route.source,
-            learned_at=route.learned_at,
         )
 
     def _send_full_table(self, peer_id: str) -> None:
@@ -367,26 +395,31 @@ class BgpRouter(SimNode):
         UPDATEs carrying up to :data:`MAX_NLRI_PER_UPDATE` NLRI entries —
         how real speakers dump tables without one message per prefix.
         """
-        batches: Dict[bytes, Tuple[Route, List[NlriEntry]]] = {}
+        export_filter = self.sessions[peer_id].peer.export_filter
+        batches: Dict[bytes, Tuple[PathAttributes, List[NlriEntry]]] = {}
         for prefix, route in self.loc_rib.items():
             if route.peer == peer_id:
                 continue
-            exported = self._apply_export_policy(peer_id, route)
-            if exported is None:
+            attributes = self._export_attributes(export_filter, route)
+            if attributes is None:
                 continue
-            self.adj_rib_out.record(peer_id, exported)
-            from repro.bgp.attributes import encode_attributes
-
-            key = encode_attributes(exported.attributes)
+            self.adj_rib_out.record(peer_id, Route(
+                prefix=route.prefix,
+                attributes=attributes,
+                peer=peer_id,
+                source=route.source,
+                learned_at=route.learned_at,
+            ))
+            key = encode_attributes(attributes)
             if key not in batches:
-                batches[key] = (exported, [])
+                batches[key] = (attributes, [])
             batches[key][1].append(NlriEntry.from_prefix(prefix))
-        for exported, entries in batches.values():
+        for attributes, entries in batches.values():
             for start in range(0, len(entries), MAX_NLRI_PER_UPDATE):
                 chunk = entries[start:start + MAX_NLRI_PER_UPDATE]
                 self._transmit(
                     peer_id,
-                    UpdateMessage(attributes=exported.attributes, nlri=chunk),
+                    UpdateMessage(attributes=attributes, nlri=chunk),
                 )
                 self.counters.increment("updates_sent")
 

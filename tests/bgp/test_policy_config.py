@@ -34,7 +34,7 @@ def view(network="10.10.1.0", length=24, path=(65020,), **kwargs):
         local_pref=kwargs.get("local_pref"),
         communities=tuple(kwargs.get("communities", ())),
     )
-    return RouteView.of(ip_to_int(network), length, attrs, peer=kwargs.get("peer"))
+    return RouteView.of(ip_to_int(network), length, attrs)
 
 
 class TestPrefixSpec:

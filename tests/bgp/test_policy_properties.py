@@ -123,7 +123,7 @@ route_views = st.builds(
 
 
 def clone_view(view: RouteView) -> RouteView:
-    return RouteView.of(view.network, view.length, view.to_attributes(), view.peer)
+    return RouteView.of(view.network, view.length, view.to_attributes())
 
 
 class TestInterpreterProperties:
