@@ -102,9 +102,10 @@ def test_sec41_full_load_throughput(benchmark, paper_rows):
     """Live-path impact bracketed by two fork-cost models.
 
     A real ``fork()`` pauses the parent for page-table setup only (O(1)
-    microseconds); our checkpoint substitute serializes state (O(table)).
+    microseconds); our checkpoint substitute copies the state's mutable
+    containers structurally (O(table), sharing the immutable routes).
     The observer-only configuration therefore *understates* the paper's
-    8% (no fork pause at all) and the pickle-fork configuration
+    8% (no fork pause at all) and the structural-fork configuration
     *overstates* it; the paper's number falls between the brackets.
     """
     # Best-of-two per configuration: single runs of a ~0.5s workload are
@@ -130,18 +131,18 @@ def test_sec41_full_load_throughput(benchmark, paper_rows):
     )
     paper_rows.add(
         "CPU", "full load, updates/s with exploration",
-        "13.9", f"{observer_rate:,.0f} (obs-only) / {forked_rate:,.0f} (pickle-fork)",
+        "13.9", f"{observer_rate:,.0f} (obs-only) / {forked_rate:,.0f} (structural fork)",
     )
     paper_rows.add(
         "CPU", "full load, live-path impact",
         "8%", f"{observer_impact:.1%} .. {forked_impact:.1%}",
         note=(
-            f"bracket: O(1)-fork lower bound vs O(state)-pickle upper bound; "
-            f"pickle forks cost {fork_seconds:.2f}s of {elapsed:.2f}s"
+            f"bracket: O(1)-fork lower bound vs O(state)-copy upper bound; "
+            f"structural forks cost {fork_seconds:.2f}s of {elapsed:.2f}s"
         ),
     )
     # Shape assertions: the integration hook itself is cheap; the full
-    # pickle-fork still leaves the router processing at >25% of baseline.
+    # structural fork still leaves the router processing at >25% of baseline.
     assert observer_impact < 0.25
     assert forked_rate > baseline_rate * 0.25
 

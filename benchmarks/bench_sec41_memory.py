@@ -15,7 +15,8 @@ page tracking and report the same three numbers.
 
 import pytest
 
-from repro.checkpoint.manager import CheckpointManager
+from repro.checkpoint.manager import CheckpointManager, snapshot_pages
+from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic.engine import ExplorationBudget
 from repro.core import DiceExplorer, get_scenario
 
@@ -89,7 +90,6 @@ def test_sec41_checkpoint_capture_cost(benchmark, paper_rows):
         filter_mode="correct", prefix_count=SCALE, update_count=0
     )
     scenario.converge()
-    from repro.checkpoint.snapshot import Checkpoint
 
     counter = {"n": 0}
 
@@ -97,10 +97,10 @@ def test_sec41_checkpoint_capture_cost(benchmark, paper_rows):
         counter["n"] += 1
         return Checkpoint.capture(scenario.provider, f"cost-{counter['n']}")
 
-    checkpoint = benchmark.pedantic(capture, rounds=5, iterations=1)
+    benchmark.pedantic(capture, rounds=5, iterations=1)
     paper_rows.add(
         "MEM", "checkpoint capture latency (full table)",
         "n/a (fork syscall)",
         f"{benchmark.stats.stats.mean * 1000:.1f} ms for "
-        f"{checkpoint.page_count} pages ({SCALE} prefixes)",
+        f"{len(snapshot_pages(scenario.provider))} pages ({SCALE} prefixes)",
     )

@@ -5,7 +5,8 @@ Federated and Heterogeneous Distributed Systems" (USENIX ATC 2011),
 including every substrate the paper's prototype relies on:
 
 * :mod:`repro.concolic` — a concolic execution engine (the Oasis role),
-* :mod:`repro.checkpoint` — fork-style checkpoints with COW page accounting,
+* :mod:`repro.checkpoint` — fork-style checkpoints, delta shipping, and
+  COW page accounting,
 * :mod:`repro.net` — a deterministic discrete-event network simulator,
 * :mod:`repro.bgp` — a BGP-4 stack with a BIRD-like policy language,
 * :mod:`repro.trace` — synthetic RouteViews traces and replay,

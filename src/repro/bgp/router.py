@@ -17,9 +17,10 @@ DiCE integration (paper section 3.2):
 
 The router is :class:`Checkpointable`: logical state (config, RIBs,
 sessions, counters) is forked into checkpoints by structural sharing
-(:meth:`BgpRouter.fork_state`) and serialized into segment-paged images
-for accounting and shipping; runtime state (the environment) is
-reinjected on restore.
+(:meth:`BgpRouter.fork_state`); :meth:`BgpRouter.snapshot_segments`
+serializes it into independently paged segments for the section 4.1
+page accounting; runtime state (the environment) is reinjected on
+restore.
 """
 
 from __future__ import annotations

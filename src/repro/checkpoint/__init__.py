@@ -1,4 +1,4 @@
-"""Fork-style checkpointing with copy-on-write page accounting."""
+"""Fork-style checkpointing, delta shipping, and copy-on-write page accounting."""
 
 from repro.checkpoint.delta import (
     CheckpointDelta,
@@ -6,13 +6,13 @@ from repro.checkpoint.delta import (
     assemble_state,
     state_segments,
 )
-from repro.checkpoint.manager import CheckpointManager, CloneRecord, MemoryReport
-from repro.checkpoint.snapshot import (
-    Checkpoint,
-    Checkpointable,
-    default_segments,
+from repro.checkpoint.manager import (
+    CheckpointManager,
+    CloneRecord,
+    MemoryReport,
     snapshot_pages,
 )
+from repro.checkpoint.snapshot import Checkpoint, Checkpointable, default_segments
 
 __all__ = [
     "Checkpoint",

@@ -12,10 +12,9 @@ module makes checkpoints *diffable*:
   states).  A small RIB change re-pickles — and later re-ships — only
   the RIB segments; config, sessions, and static routes stay byte-for-
   byte identical.
-* :meth:`CheckpointImage.diff` compares two images segment by segment
-  (via :class:`~repro.util.pages.PageSet` digests, the same content
-  identity the COW accounting uses) and produces a
-  :class:`CheckpointDelta` carrying only the changed segments.
+* :meth:`CheckpointImage.diff` compares two images segment by segment,
+  byte for byte, and produces a :class:`CheckpointDelta` carrying only
+  the changed segments.
 * :meth:`CheckpointDelta.apply` reassembles the successor image on the
   receiving side; the result is byte-identical to a fresh capture of the
   same state, so a worker that got "full image once, deltas after" holds
@@ -39,7 +38,6 @@ from typing import Dict, Optional, Tuple
 from repro.checkpoint.snapshot import Checkpoint, Checkpointable, default_segments
 from repro.concolic.env import Environment
 from repro.util.errors import CheckpointError
-from repro.util.pages import PAGE_SIZE, PageSet
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -180,21 +178,6 @@ def assemble_state(segments: Dict[str, bytes]) -> object:
     return components
 
 
-def _segment_digests(segments: Dict[str, bytes], page_size: int) -> Dict[str, tuple]:
-    """Per-segment content identity, as the segment's page-digest tuple."""
-    return {
-        name: PageSet.from_bytes(blob, page_size).pages
-        for name, blob in segments.items()
-    }
-
-
-# Lazily memoized per CheckpointImage instance and dropped on pickle:
-# digests and page sets are derived data the receiver can recompute,
-# and shipping them would inflate exactly the transport this module
-# exists to shrink.
-_CACHE_ATTRS = ("_digest_cache", "_pages_cache")
-
-
 @dataclass
 class CheckpointImage:
     """A captured node state in segment form, ready for delta shipping.
@@ -214,7 +197,6 @@ class CheckpointImage:
     epoch: int = 0
     node: str = ""
     sequence: int = 0
-    page_size: int = PAGE_SIZE
     created_at: float = field(default_factory=time.monotonic)
 
     @classmethod
@@ -225,7 +207,6 @@ class CheckpointImage:
         epoch: int = 0,
         node_id: str = "",
         sequence: int = 0,
-        page_size: int = PAGE_SIZE,
     ) -> "CheckpointImage":
         """The fork moment, segment-structured."""
         segments = state_segments(node.checkpoint_state())
@@ -238,7 +219,6 @@ class CheckpointImage:
             epoch=epoch,
             node=node_id,
             sequence=sequence,
-            page_size=page_size,
         )
 
     @property
@@ -250,35 +230,6 @@ class CheckpointImage:
     def total_bytes(self) -> int:
         """Bytes a full ship of this image costs."""
         return sum(len(blob) for blob in self.segments.values())
-
-    @property
-    def pages(self) -> PageSet:
-        """The image's page set (segments paged independently; memoized)."""
-        cached = getattr(self, "_pages_cache", None)
-        if cached is None:
-            cached = PageSet.from_segments(self.segments.values(), self.page_size)
-            self._pages_cache = cached
-        return cached
-
-    def segment_digests(self) -> Dict[str, tuple]:
-        """Per-segment page-digest tuples, computed once per image.
-
-        The coordinator diffs every new epoch against the previous one;
-        memoizing means each image is hashed exactly once over its life
-        (the epoch-N capture's digests are reused as the base side of
-        the epoch-N+1 diff) instead of once per diff side.
-        """
-        cached = getattr(self, "_digest_cache", None)
-        if cached is None:
-            cached = _segment_digests(self.segments, self.page_size)
-            self._digest_cache = cached
-        return cached
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        for attr in _CACHE_ATTRS:
-            state.pop(attr, None)
-        return state
 
     def restore(self, env: Environment) -> Checkpointable:
         """Materialize a clone directly from the segments."""
@@ -303,11 +254,31 @@ class CheckpointImage:
             self.name,
             self.node_type,
             assemble_state(self.segments),
-            pages=self.pages,
             node_time=self.node_time,
             sequence=self.sequence,
-            page_size=self.page_size,
         )
+
+    def _changes_since(
+        self, base: "CheckpointImage"
+    ) -> Tuple[Dict[str, bytes], Tuple[str, ...]]:
+        """Segments whose bytes differ from ``base``'s, and the names of
+        ``base``'s segments this image no longer has.
+
+        A re-pickled but unchanged segment compares equal, so it counts
+        as clean and ships nothing.
+        """
+        if base.node != self.node:
+            raise CheckpointError(
+                f"image for federation node {self.node!r} cannot be "
+                f"compared to node {base.node!r}'s"
+            )
+        theirs = base.segments
+        changed = {
+            name: blob for name, blob in self.segments.items()
+            if theirs.get(name) != blob
+        }
+        removed = tuple(sorted(set(theirs) - set(self.segments)))
+        return changed, removed
 
     def dirty_segments_since(self, base: "CheckpointImage") -> int:
         """How many segments changed (or vanished) since ``base``.
@@ -315,45 +286,14 @@ class CheckpointImage:
         The churn probe behind churn-driven epochs: the streaming
         coordinator captures a candidate image and asks this *before*
         building a delta — below the churn threshold the capture is
-        discarded, nothing ships, and the node's epoch stands.  Both
-        sides' digests are memoized, so on the quiet path the only cost
-        is hashing the fresh capture (which a real advance would pay
-        anyway).
+        discarded, nothing ships, and the node's epoch stands.
         """
-        if base.node != self.node:
-            raise CheckpointError(
-                f"churn probe across federation nodes: image for node "
-                f"{self.node!r} cannot be compared to node {base.node!r}"
-            )
-        ours = self.segment_digests()
-        theirs = base.segment_digests()
-        changed = sum(
-            1 for name, digest in ours.items() if theirs.get(name) != digest
-        )
-        removed = len(set(theirs) - set(ours))
-        return changed + removed
+        changed, removed = self._changes_since(base)
+        return len(changed) + len(removed)
 
     def diff(self, base: "CheckpointImage") -> "CheckpointDelta":
-        """The delta that turns ``base`` into this image.
-
-        Segments are compared by their page-digest tuples — the same
-        content identity :mod:`repro.util.pages` uses for COW accounting
-        — so an unchanged segment ships zero bytes even though it was
-        re-pickled during capture.
-        """
-        if base.node != self.node:
-            raise CheckpointError(
-                f"diff across federation nodes: image for node {self.node!r} "
-                f"cannot be based on node {base.node!r}"
-            )
-        ours = self.segment_digests()
-        theirs = base.segment_digests()
-        changed = {
-            name: self.segments[name]
-            for name, digest in ours.items()
-            if theirs.get(name) != digest
-        }
-        removed = tuple(sorted(set(theirs) - set(ours)))
+        """The delta that turns ``base`` into this image."""
+        changed, removed = self._changes_since(base)
         return CheckpointDelta(
             name=self.name,
             base_epoch=base.epoch,
@@ -431,5 +371,4 @@ class CheckpointDelta:
             epoch=self.epoch,
             node=self.node,
             sequence=self.sequence,
-            page_size=base.page_size,
         )

@@ -16,11 +16,10 @@ copy-on-write, and isolates the child "by closing the open sockets"
 * cloning hands a fresh copy of the template to a new node wired to an
   *isolated* environment, which is exactly "closing the open sockets".
 
-The pickle of a forked state and the page image
-(:class:`repro.util.pages.PageSet` per serialized segment, the paper's
-unique-page metrics of section 4.1) are derived from the template on
-first access: only a checkpoint that crosses a process boundary or is
-asked for its accounting pays for serialization.
+The pickle of a forked state is derived from the template on first
+access: only a checkpoint that crosses a process boundary pays for
+serialization.  Page images for the section 4.1 accounting are the
+:class:`~repro.checkpoint.manager.CheckpointManager`'s business.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ import pickle
 import time
 from typing import Dict, Optional, Protocol, runtime_checkable
 
-from repro.concolic.env import Environment, ExplorationEnvironment
+from repro.concolic.env import Environment
 from repro.util.errors import CheckpointError
-from repro.util.pages import PAGE_SIZE, PageSet
 
 
 @runtime_checkable
@@ -82,10 +80,8 @@ class Checkpoint:
         *,
         template: object = None,
         state_bytes: Optional[bytes] = None,
-        pages: Optional[PageSet] = None,
         node_time: float = 0.0,
         sequence: int = 0,
-        page_size: int = PAGE_SIZE,
     ):
         if (template is None) == (state_bytes is None):
             raise CheckpointError(f"{name!r}: give one of template / state_bytes")
@@ -93,11 +89,9 @@ class Checkpoint:
         self.node_type = node_type
         self.node_time = node_time
         self.sequence = sequence
-        self.page_size = page_size
         self.created_at = time.monotonic()
         self._template = template
         self._state_bytes = state_bytes
-        self._pages = pages
 
     @classmethod
     def from_state(cls, name: str, node_type: type, state: object, **meta) -> "Checkpoint":
@@ -111,7 +105,6 @@ class Checkpoint:
         cls,
         node: Checkpointable,
         name: str,
-        page_size: int = PAGE_SIZE,
         sequence: int = 0,
     ) -> "Checkpoint":
         """The fork moment: snapshot ``node``'s state."""
@@ -123,7 +116,6 @@ class Checkpoint:
             state if fork is None else fork(state),
             node_time=float(getattr(node, "now", 0.0)),
             sequence=sequence,
-            page_size=page_size,
         )
 
     def _clone_state(self) -> object:
@@ -156,38 +148,16 @@ class Checkpoint:
             self._state_bytes = _dumps(self.name, self._template)
         return self._state_bytes
 
-    @property
-    def pages(self) -> PageSet:
-        """The page image a clone of this checkpoint starts from.
-
-        Equal to a captured *live* node's own image at the fork moment,
-        since a fresh clone serializes segment for segment like it.  Not
-        so for a captured clone: its environment's message buffers are a
-        segment of its image but not of its state.
-        """
-        if self._pages is None:
-            # Accounting, not a clone anyone runs: not a ``restore`` call.
-            clone = self.node_type.restore_from_state(
-                self._clone_state(),
-                ExplorationEnvironment(checkpoint_time=self.node_time),
-            )
-            self._pages = snapshot_pages(clone, self.page_size)
-        return self._pages
-
     def __getstate__(self) -> dict:
-        # Another process gets the bytes and the accounting, never the
-        # template: it thaws its own on first restore.
+        # Another process gets the bytes, never the template: it thaws
+        # its own on first restore.
         state = dict(self.__dict__)
-        state.update(_template=None, _state_bytes=self.state_bytes, _pages=self.pages)
+        state.update(_template=None, _state_bytes=self.state_bytes)
         return state
 
     @property
     def size_bytes(self) -> int:
         return len(self.state_bytes)
-
-    @property
-    def page_count(self) -> int:
-        return len(self.pages)
 
 
 def _dumps(name: str, state: object) -> bytes:
@@ -195,13 +165,6 @@ def _dumps(name: str, state: object) -> bytes:
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise CheckpointError(f"state of {name!r} is not picklable: {exc}") from exc
-
-
-def snapshot_pages(
-    node: Checkpointable, page_size: int = PAGE_SIZE
-) -> PageSet:
-    """The current page image of a live node or clone."""
-    return PageSet.from_segments(node.snapshot_segments().values(), page_size)
 
 
 def default_segments(state: object) -> Dict[str, bytes]:

@@ -156,7 +156,6 @@ class DiceExplorer:
             if manager is not None and clone_counter["count"] < self.track_clone_limit:
                 record = manager.clone(checkpoint)
                 clone, env = record.node, record.env
-                state["clone_name"] = record.name
             else:
                 clone, env = restore_isolated(checkpoint)
             clone_counter["count"] += 1
@@ -192,10 +191,6 @@ class DiceExplorer:
             )
             for checker in self.checkers:
                 findings.extend(checker.check(ctx))
-            if manager is not None and "clone_name" in state:
-                # Dirty-page accounting: re-measure the clone image after
-                # it processed the exploratory input (section 4.1 metric).
-                manager.refresh(state["clone_name"])  # type: ignore[arg-type]
 
         exploration = self.engine.explore(
             program,
@@ -209,7 +204,6 @@ class DiceExplorer:
             model_name=model.name,
             exploration=exploration,
             findings=findings,
-            checkpoint_pages=checkpoint.page_count,
             checkpoint_seconds=checkpoint_seconds,
             clone_count=clone_counter["count"],
         )

@@ -104,7 +104,6 @@ class SessionReport:
     model_name: str
     exploration: ExplorationReport
     findings: List[Finding] = field(default_factory=list)
-    checkpoint_pages: int = 0
     checkpoint_seconds: float = 0.0
     clone_count: int = 0
     solver_stats: Dict[str, float] = field(default_factory=dict)

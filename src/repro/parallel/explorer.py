@@ -141,8 +141,6 @@ class ParallelExplorer:
                 fallback_reason=fallback_reason,
                 wall_seconds=wall,
                 checkpoint_seconds=checkpoint_seconds,
-                # Every session of a node ran from the same checkpoint.
-                checkpoint_pages=reports[0].checkpoint_pages if reports else 0,
             )
             for node_id, reports in per_node.items()
         }

@@ -4,7 +4,7 @@
 :class:`~repro.checkpoint.delta.CheckpointImage` once; every
 re-checkpoint thereafter ships a
 :class:`~repro.checkpoint.delta.CheckpointDelta` carrying only the
-segments whose page digests changed — or nothing at all, when the
+segments whose bytes changed — or nothing at all, when the
 caller finds :meth:`ImageStore.capture_next`'s dirty-segment count too
 quiet (churn-driven epochs).
 
@@ -58,10 +58,8 @@ class ImageStore:
         self.retained[image.image_key] = image
         # The report's view of what a full re-ship of every node costs.
         self._report.full_checkpoint_bytes += image.total_bytes
-        self._report.checkpoint_pages += len(image.pages)
         if previous is not None:
             self._report.full_checkpoint_bytes -= previous.total_bytes
-            self._report.checkpoint_pages -= len(previous.pages)
             self.release(previous.image_key)
 
     def register(self, node: str, router: BgpRouter) -> None:

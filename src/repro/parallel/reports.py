@@ -33,7 +33,6 @@ class BatchReport:
     fallback_reason: str = ""
     wall_seconds: float = 0.0
     checkpoint_seconds: float = 0.0
-    checkpoint_pages: int = 0
 
     @property
     def total_executions(self) -> int:

@@ -1,4 +1,4 @@
-"""Shared utilities: addressing, page accounting, RNG, statistics, errors."""
+"""Shared utilities: addressing, RNG, statistics, errors."""
 
 from repro.util.errors import (
     AddressError,
@@ -14,7 +14,6 @@ from repro.util.errors import (
     WireFormatError,
 )
 from repro.util.ip import ADDR_BITS, ADDR_MAX, Prefix, PrefixTrie, int_to_ip, ip_to_int, mask_for
-from repro.util.pages import PAGE_SIZE, PageSet, PageStore, paginate
 from repro.util.rng import derive_rng, derive_seed
 from repro.util.stats import (
     Counter,
@@ -36,9 +35,6 @@ __all__ = [
     "ExplorationError",
     "Histogram",
     "IsolationViolation",
-    "PAGE_SIZE",
-    "PageSet",
-    "PageStore",
     "Prefix",
     "PrefixTrie",
     "PrivacyViolation",
@@ -55,5 +51,4 @@ __all__ = [
     "int_to_ip",
     "ip_to_int",
     "mask_for",
-    "paginate",
 ]

@@ -22,7 +22,8 @@ from repro.bgp.messages import NotificationMessage, UpdateMessage
 from repro.bgp.nlri import NlriEntry
 from repro.bgp.router import BgpRouter
 from repro.checkpoint.delta import CheckpointImage
-from repro.checkpoint.snapshot import Checkpoint, snapshot_pages
+from repro.checkpoint.manager import snapshot_pages
+from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic.env import ExplorationEnvironment, RecordingEnvironment
 from repro.parallel.worker import SessionJob, run_session_job
 from repro.util.errors import CheckpointError
@@ -205,9 +206,9 @@ TestForkIsolation = ForkIsolation.TestCase
 class TestCheckpointForms:
     def test_capture_serializes_nothing_until_asked(self):
         checkpoint = Checkpoint.capture(live_router(), "lazy")
-        assert checkpoint._state_bytes is None and checkpoint._pages is None
+        assert checkpoint._state_bytes is None
         checkpoint.restore(ExplorationEnvironment())
-        assert checkpoint._state_bytes is None and checkpoint._pages is None
+        assert checkpoint._state_bytes is None
 
     def test_state_bytes_and_pages_are_the_live_nodes(self):
         router = live_router()
@@ -215,7 +216,8 @@ class TestCheckpointForms:
         assert checkpoint.state_bytes == pickle.dumps(
             router.checkpoint_state(), pickle.HIGHEST_PROTOCOL
         )
-        assert checkpoint.pages == snapshot_pages(router)
+        fresh_clone = checkpoint.restore(ExplorationEnvironment())
+        assert snapshot_pages(fresh_clone) == snapshot_pages(router)
         assert checkpoint.size_bytes == len(checkpoint.state_bytes)
 
     def test_pages_are_of_the_capture_instant(self):
@@ -223,7 +225,8 @@ class TestCheckpointForms:
         before = snapshot_pages(router)
         checkpoint = Checkpoint.capture(router, "instant")
         router.handle_update("alpha", announcement(P("10.10.200.0/24"), [65001]))
-        assert checkpoint.pages == before != snapshot_pages(router)
+        fresh_clone = checkpoint.restore(ExplorationEnvironment())
+        assert snapshot_pages(fresh_clone) == before != snapshot_pages(router)
 
     def test_corrupt_state_bytes_raise_on_restore(self):
         checkpoint = Checkpoint("bad", BgpRouter, state_bytes=b"\x80\x05not a pickle")
@@ -247,7 +250,6 @@ class TestCheckpointForms:
         shipped = job.checkpoint
         assert shipped._template is None
         assert shipped.state_bytes == checkpoint.state_bytes
-        assert shipped.pages == checkpoint.pages
         first = shipped.restore(ExplorationEnvironment())
         assert shipped._template is not None  # thawed once, forked from now on
         second = shipped.restore(ExplorationEnvironment())
@@ -279,8 +281,8 @@ import sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {tests!r})
 from test_fork import live_router
-from repro.checkpoint.snapshot import Checkpoint
-print(Checkpoint.capture(live_router(), "seeded").pages.pages)
+from repro.checkpoint.manager import snapshot_pages
+print(snapshot_pages(live_router()).pages)
 """
 
 
@@ -302,4 +304,4 @@ def test_page_image_does_not_depend_on_the_hash_seed():
         assert done.returncode == 0, done.stderr
         images.append(done.stdout)
     assert images[0] == images[1]
-    assert images[0] == repr(Checkpoint.capture(live_router(), "here").pages.pages) + "\n"
+    assert images[0] == repr(snapshot_pages(live_router()).pages) + "\n"
