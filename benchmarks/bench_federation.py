@@ -29,8 +29,6 @@ import time
 import pytest
 
 from baseline_gate import WRITE_BASELINE, gate_floor, write_baseline
-from repro.bgp.config import clear_parse_cache, parse_cache_info
-from repro.bgp.messages import clear_decode_cache, decode_cache_info
 from repro.bgp.wire import as_concrete_int
 from repro.concolic import ExplorationBudget
 from repro.core import get_scenario
@@ -43,6 +41,7 @@ from repro.core.privacy import (
 )
 from repro.topology import generators
 from repro.topology.graph import build_routers
+from repro.util.memo import registry
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -85,14 +84,14 @@ def test_parse_cache_absorbs_repeated_builds(paper_rows):
     its misses and ineligible nodes fall through to the content-hash
     parse cache.  Between the two, a rebuild costs zero new parses.
     """
-    from repro.topology.graph import clear_structural_cache, structural_cache_info
-
-    clear_parse_cache()
-    clear_structural_cache()
+    parsed = registry()["bgp.config.parse"]
+    structural = registry()["topology.structural"]
+    parsed.clear()
+    structural.clear()
     build_converged("tiered-8")
-    cold, structural_cold = parse_cache_info(), structural_cache_info()
+    cold, structural_cold = parsed.info(), structural.info()
     build_converged("tiered-8")
-    warm, structural_warm = parse_cache_info(), structural_cache_info()
+    warm, structural_warm = parsed.info(), structural.info()
     hits = (warm["hits"] - cold["hits"]) + (
         structural_warm["hits"] - structural_cold["hits"]
     )
@@ -163,7 +162,7 @@ def test_bgp_convergence_updates_per_sec(benchmark, paper_rows):
     graph = generators.hierarchical(100, seed=SEED, filter_mode="missing")
 
     def converge():
-        clear_decode_cache()
+        registry()["bgp.decode"].clear()
         host, routers = build_routers(graph, seed=SEED)
         started = time.perf_counter()
         host.run()
@@ -172,7 +171,7 @@ def test_bgp_convergence_updates_per_sec(benchmark, paper_rows):
         return updates, wall
 
     updates, wall = benchmark.pedantic(converge, rounds=1, iterations=1)
-    memo = decode_cache_info()
+    memo = registry()["bgp.decode"].info()
     rate = updates / wall
     figure = "bgp_convergence_updates_per_sec_hierarchical_100"
     if WRITE_BASELINE:

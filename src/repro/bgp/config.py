@@ -65,6 +65,7 @@ from repro.bgp.policy import (
 )
 from repro.util.errors import ConfigError
 from repro.util.ip import Prefix, ip_to_int
+from repro.util.memo import Memo
 
 # ---------------------------------------------------------------------------
 # Lexer.
@@ -531,12 +532,12 @@ def parse_config(source: str) -> RouterConfig:
 # and thereafter revived from its pickled form — ~6x cheaper than a
 # re-parse, and each caller still gets a private, freely mutable
 # RouterConfig (configs travel inside checkpoints, so sharing one live
-# instance across routers would be a correctness trap).
+# instance across routers would be a correctness trap).  The memo is
+# keyed by a content hash and evicts oldest first: scenario builds reuse
+# recent texts.
 # ---------------------------------------------------------------------------
 
-_PARSE_CACHE: Dict[bytes, bytes] = {}
-_PARSE_CACHE_MAX = 256
-_PARSE_STATS = {"hits": 0, "misses": 0}
+_PARSED = Memo(256, "bgp.config.parse")
 
 
 def _content_key(source: str) -> bytes:
@@ -555,25 +556,9 @@ def parse_config_cached(source: str) -> RouterConfig:
     import pickle
 
     key = _content_key(source)
-    blob = _PARSE_CACHE.get(key)
+    blob = _PARSED.get(key)
     if blob is None:
-        _PARSE_STATS["misses"] += 1
         config = parse_config(source)
-        blob = pickle.dumps(config, pickle.HIGHEST_PROTOCOL)
-        if len(_PARSE_CACHE) >= _PARSE_CACHE_MAX:
-            # Insertion-order eviction: scenario builds reuse recent texts.
-            _PARSE_CACHE.pop(next(iter(_PARSE_CACHE)))
-        _PARSE_CACHE[key] = blob
+        _PARSED.put(key, pickle.dumps(config, pickle.HIGHEST_PROTOCOL))
         return config
-    _PARSE_STATS["hits"] += 1
     return pickle.loads(blob)
-
-
-def parse_cache_info() -> Dict[str, int]:
-    """Hit/miss counters plus current size, for tests and benchmarks."""
-    return {**_PARSE_STATS, "size": len(_PARSE_CACHE)}
-
-
-def clear_parse_cache() -> None:
-    _PARSE_CACHE.clear()
-    _PARSE_STATS["hits"] = _PARSE_STATS["misses"] = 0

@@ -15,7 +15,7 @@ without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.bgp.attributes import PathAttributes, decode_attributes, encode_attributes
 from repro.bgp.nlri import NlriEntry, decode_nlri, encode_nlri
@@ -30,6 +30,7 @@ from repro.bgp.wire import (
 )
 from repro.concolic.symbolic import SymInt
 from repro.util.errors import WireFormatError
+from repro.util.memo import Memo
 
 IntLike = Union[int, SymInt]
 
@@ -233,9 +234,7 @@ _DECODERS = {
 #: Decoded messages kept by :func:`decode_message`, evicted oldest first.
 #: Sized to the burst a convergence delivers: one update group's bytes
 #: reach all its peers within a few hundred deliveries of each other.
-_DECODE_CACHE_MAX = 1024
-_DECODE_CACHE: Dict[bytes, Message] = {}
-_DECODE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+_DECODED = Memo(1024, "bgp.decode")
 
 
 def decode_message(buffer: Buffer) -> Message:
@@ -251,28 +250,11 @@ def decode_message(buffer: Buffer) -> Message:
     """
     if type(buffer) is not bytes:
         return _decode(buffer)
-    message = _DECODE_CACHE.get(buffer)
-    if message is not None:
-        _DECODE_STATS["hits"] += 1
-        return message
-    _DECODE_STATS["misses"] += 1
-    message = _decode(buffer)
-    if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
-        del _DECODE_CACHE[next(iter(_DECODE_CACHE))]
-        _DECODE_STATS["evictions"] += 1
-    _DECODE_CACHE[buffer] = message
+    message = _DECODED.get(buffer)
+    if message is None:
+        message = _decode(buffer)
+        _DECODED.put(buffer, message)
     return message
-
-
-def decode_cache_info() -> Dict[str, int]:
-    """Hit/miss/eviction counters plus current size, for tests and benchmarks."""
-    return {**_DECODE_STATS, "size": len(_DECODE_CACHE)}
-
-
-def clear_decode_cache() -> None:
-    _DECODE_CACHE.clear()
-    for name in _DECODE_STATS:
-        _DECODE_STATS[name] = 0
 
 
 def _decode(buffer: Buffer) -> Message:

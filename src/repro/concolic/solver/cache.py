@@ -49,13 +49,21 @@ multiprocessing concerns.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.concolic.expr import Expr
 from repro.concolic.solver.intervals import Interval
+from repro.util.memo import Memo
 
 Assignment = Dict[str, int]
+
+#: Exact results an in-process cache or a worker's L1 keeps (FIFO): far
+#: above the few dozen distinct queries a benchmark workload solves.
+EXACT_ENTRIES = 1 << 16
+#: Constraint digests the semantic index keeps, oldest evicted first.
+SEMANTIC_KEYS = 4096
+#: Domain boxes kept per constraint digest, oldest dropped first.
+SEMANTIC_BOXES = 8
 
 #: ("sat", sorted model items) | ("unsat",) | ("unknown",)
 CacheEntry = Tuple
@@ -160,44 +168,44 @@ def box_subsumes(wider: BoxItems, domains: Dict[str, Interval]) -> bool:
 class SemanticIndex:
     """Constraint digest → the domain boxes it has been solved under.
 
-    A bounded, insertion-ordered two-level map: ``max_keys`` conjunctions
-    (FIFO-evicted), each holding at most ``max_boxes`` distinct
-    ``(box, entry)`` candidates (oldest dropped first).  ``unknown``
-    outcomes are never indexed — they assert nothing about other boxes.
+    A bounded, insertion-ordered two-level map: ``SEMANTIC_KEYS``
+    conjunctions (FIFO-evicted), each holding at most ``SEMANTIC_BOXES``
+    distinct ``(box, entry)`` candidates (oldest dropped first).
+    ``unknown`` outcomes are never indexed — they assert nothing about
+    other boxes.
     """
 
-    def __init__(self, max_keys: int = 4096, max_boxes: int = 8) -> None:
-        self._index: "OrderedDict[bytes, List[Tuple[BoxItems, CacheEntry]]]" = (
-            OrderedDict()
-        )
-        self.max_keys = max_keys
-        self.max_boxes = max_boxes
-        self.evictions = 0
+    def __init__(self) -> None:
+        self._index = Memo(SEMANTIC_KEYS)
+        self._box_evictions = 0
 
     def __len__(self) -> int:
         return len(self._index)
 
+    @property
+    def evictions(self) -> int:
+        """Keys and boxes dropped to hold the bounds."""
+        return self._index.evictions + self._box_evictions
+
     def get(self, key: bytes) -> Sequence[Tuple[BoxItems, CacheEntry]]:
         """The cached (box, entry) candidates for a constraint digest."""
-        return self._index.get(key, ())
+        return self._index.get(key) or ()
 
     def put(self, key: bytes, domains: Dict[str, Interval], entry: CacheEntry) -> None:
         if entry[0] == "unknown":
             return
         bucket = self._index.get(key)
         if bucket is None:
-            if len(self._index) >= self.max_keys:
-                self._index.popitem(last=False)
-                self.evictions += 1
-            bucket = self._index[key] = []
+            bucket = []
+            self._index.put(key, bucket)
         box = box_items(domains)
         for position, (existing, _) in enumerate(bucket):
             if existing == box:
                 bucket[position] = (box, entry)
                 return
-        if len(bucket) >= self.max_boxes:
+        if len(bucket) >= SEMANTIC_BOXES:
             del bucket[0]
-            self.evictions += 1
+            self._box_evictions += 1
         bucket.append((box, entry))
 
 
@@ -226,70 +234,32 @@ class ConstraintCache(Protocol):
         """Record the solved entry for ``key``."""
 
 
-class DictConstraintCache:
+class DictConstraintCache(Memo):
     """An in-process cache (single worker / serial fallback).
 
-    ``max_entries`` bounds the exact-key store as an LRU (long streaming
-    sessions otherwise grow it without limit); ``None`` keeps the
-    original unbounded behaviour.  Evicting an exact entry only loses a
-    shortcut — the semantic index is bounded separately — so eviction
-    never affects correctness, only hit rate.
+    A memo of ``EXACT_ENTRIES`` exact-key results, oldest evicted first,
+    beside a :class:`SemanticIndex`.  Evicting an exact entry only loses
+    a shortcut, so eviction never affects correctness, only hit rate.
     """
 
-    def __init__(
-        self, max_entries: Optional[int] = None, semantic: bool = True
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._entries: "OrderedDict[bytes, CacheEntry]" = OrderedDict()
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._semantic = SemanticIndex() if semantic else None
+    __slots__ = ("_semantic",)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: bytes) -> Optional[CacheEntry]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            if self.max_entries is not None:
-                self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: bytes, entry: CacheEntry) -> None:
-        entries = self._entries
-        entries[key] = entry
-        if self.max_entries is not None:
-            entries.move_to_end(key)
-            while len(entries) > self.max_entries:
-                entries.popitem(last=False)
-                self.evictions += 1
+    def __init__(self) -> None:
+        super().__init__(EXACT_ENTRIES)
+        self._semantic = SemanticIndex()
 
     def get_semantic(self, key: bytes) -> Sequence[Tuple[BoxItems, CacheEntry]]:
-        if self._semantic is None:
-            return ()
         return self._semantic.get(key)
 
     def put_semantic(
         self, key: bytes, domains: Dict[str, Interval], entry: CacheEntry
     ) -> None:
-        if self._semantic is not None:
-            self._semantic.put(key, domains, entry)
+        self._semantic.put(key, domains, entry)
 
     def info(self) -> Dict[str, int]:
-        info = {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "max_entries": self.max_entries,
+        return {
+            **super().info(),
+            "entries": len(self),
+            "semantic_keys": len(self._semantic),
+            "semantic_evictions": self._semantic.evictions,
         }
-        if self._semantic is not None:
-            info["semantic_keys"] = len(self._semantic)
-            info["semantic_evictions"] = self._semantic.evictions
-        return info

@@ -31,18 +31,18 @@ from repro.bgp.router import BgpRouter
 from repro.bgp.wire import as_concrete_int
 from repro.util.errors import PrivacyViolation
 from repro.util.ip import Prefix
+from repro.util.memo import Memo
 
 DIGEST_SIZE = 16
 
-# Digest memo: a federation-wide compare hashes the same few hundred
+# Digest memos: a federation-wide compare hashes the same few hundred
 # (prefix, origin) pairs once per *node* per wave stage — at 200 domains
 # that is ~160k blake2b calls for ~800 distinct values.  Both functions
-# are pure in (salt, prefix[, origin]), so the memo is transparent; it
-# is cleared wholesale if it ever fills (salts rotate rarely in
-# practice, so eviction pressure is negligible).
-_DIGEST_MEMO_MAX = 1 << 16
-_PREFIX_MEMO: Dict[Tuple[bytes, int, int], bytes] = {}
-_ORIGIN_MEMO: Dict[Tuple[bytes, int, int, int], bytes] = {}
+# are pure in (salt, prefix[, origin]), so the memos are transparent and
+# an evicted digest is recomputed identically; they evict oldest first
+# (salts rotate rarely in practice, so eviction pressure is negligible).
+_PREFIX_DIGESTS = Memo(1 << 16, "privacy.prefix_digest")
+_ORIGIN_DIGESTS = Memo(1 << 16, "privacy.origin_digest")
 
 
 def _hash(salt: bytes, *parts: bytes) -> bytes:
@@ -56,28 +56,26 @@ def _hash(salt: bytes, *parts: bytes) -> bytes:
 
 def prefix_digest(salt: bytes, prefix: Prefix) -> bytes:
     key = (salt, prefix.network, prefix.length)
-    digest = _PREFIX_MEMO.get(key)
+    digest = _PREFIX_DIGESTS.get(key)
     if digest is None:
-        if len(_PREFIX_MEMO) >= _DIGEST_MEMO_MAX:
-            _PREFIX_MEMO.clear()
-        digest = _PREFIX_MEMO[key] = _hash(
+        digest = _hash(
             salt, prefix.network.to_bytes(4, "big"), bytes((prefix.length,))
         )
+        _PREFIX_DIGESTS.put(key, digest)
     return digest
 
 
 def origin_digest(salt: bytes, prefix: Prefix, origin_asn: int) -> bytes:
     key = (salt, prefix.network, prefix.length, origin_asn)
-    digest = _ORIGIN_MEMO.get(key)
+    digest = _ORIGIN_DIGESTS.get(key)
     if digest is None:
-        if len(_ORIGIN_MEMO) >= _DIGEST_MEMO_MAX:
-            _ORIGIN_MEMO.clear()
-        digest = _ORIGIN_MEMO[key] = _hash(
+        digest = _hash(
             salt,
             prefix.network.to_bytes(4, "big"),
             bytes((prefix.length,)),
             origin_asn.to_bytes(4, "big"),
         )
+        _ORIGIN_DIGESTS.put(key, digest)
     return digest
 
 

@@ -2,8 +2,8 @@
 
 Builds on the solver-layer hook (:mod:`repro.concolic.solver.cache`):
 entries live in ``multiprocessing.Manager`` dicts shared by every worker
-process, with a per-process dict in front so each unique query pays at
-most one IPC round-trip per worker.
+process, with a bounded per-process memo in front so each unique query
+pays at most one IPC round-trip per worker.
 
 A proxy lookup is ~100µs while many solver queries resolve in ~10µs, so
 the L1 matters: without it a cache could make exploration *slower* than
@@ -36,8 +36,9 @@ import hashlib
 from multiprocessing.managers import SyncManager
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.concolic.solver.cache import CacheEntry, SemanticIndex
+from repro.concolic.solver.cache import EXACT_ENTRIES, CacheEntry, SemanticIndex
 from repro.concolic.solver.intervals import Interval
+from repro.util.memo import Memo
 
 
 class ShardedConstraintCache:
@@ -63,7 +64,7 @@ class ShardedConstraintCache:
         if not shards:
             raise ValueError("at least one cache shard is required")
         self._shards = shards
-        self._local: Dict[bytes, CacheEntry] = {}
+        self._local = Memo(EXACT_ENTRIES)
         self._semantic = SemanticIndex()
         self.hits = 0
         self.misses = 0
@@ -120,11 +121,11 @@ class ShardedConstraintCache:
             self.misses += 1
             return None
         self.hits += 1
-        self._local[key] = entry
+        self._local.put(key, entry)
         return entry
 
     def put(self, key: bytes, entry: CacheEntry) -> None:
-        self._local[key] = entry
+        self._local.put(key, entry)
         index = self._shard_index(key)
         if index in self._dead:
             self.degraded_ops += 1
@@ -200,7 +201,7 @@ class ShardedConstraintCache:
 
     def __setstate__(self, state: dict) -> None:
         self._shards = state["_shards"]
-        self._local = {}
+        self._local = Memo(EXACT_ENTRIES)
         self._semantic = SemanticIndex()
         self.hits = 0
         self.misses = 0

@@ -36,6 +36,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.errors import TopologyError
 from repro.util.ip import Prefix, int_to_ip
+from repro.util.memo import Memo
 
 #: Business relationships an edge can encode.
 TRANSIT = "transit"      # edge.a sells transit to edge.b (a = provider)
@@ -482,11 +483,10 @@ def _direction_filters(edge: AsEdge, name: str) -> Tuple[Optional[str], Optional
 # render and parse entirely.  Nodes with customers are ineligible (their
 # cust-in-<peer> filters embed peer names), as are nodes with explicit
 # per-edge filters or extra_config; those fall back to the parse cache.
+# Templates are kept pickled, evicted oldest first.
 # ---------------------------------------------------------------------------
 
-_STRUCTURAL_CACHE: Dict[tuple, bytes] = {}
-_STRUCTURAL_CACHE_MAX = 256
-_STRUCTURAL_STATS = {"hits": 0, "misses": 0, "ineligible": 0}
+_TEMPLATES = Memo(256, "topology.structural")
 
 
 def _structural_key(graph: AsGraph, name: str) -> Optional[tuple]:
@@ -523,17 +523,12 @@ def render_structured(graph: AsGraph, name: str):
     node = graph.nodes[name]
     key = _structural_key(graph, name)
     if key is None:
-        _STRUCTURAL_STATS["ineligible"] += 1
         return parse_config_cached(render_config(graph, name))
-    blob = _STRUCTURAL_CACHE.get(key)
+    blob = _TEMPLATES.get(key)
     if blob is None:
-        _STRUCTURAL_STATS["misses"] += 1
         config = parse_config_cached(render_config(graph, name))
-        if len(_STRUCTURAL_CACHE) >= _STRUCTURAL_CACHE_MAX:
-            _STRUCTURAL_CACHE.pop(next(iter(_STRUCTURAL_CACHE)))
-        _STRUCTURAL_CACHE[key] = pickle.dumps(config, pickle.HIGHEST_PROTOCOL)
+        _TEMPLATES.put(key, pickle.dumps(config, pickle.HIGHEST_PROTOCOL))
         return config
-    _STRUCTURAL_STATS["hits"] += 1
     config = pickle.loads(blob)
     config.asn = node.asn
     config.router_id = node.router_id
@@ -548,18 +543,6 @@ def render_structured(graph: AsGraph, name: str):
         )
     }
     return config
-
-
-def structural_cache_info() -> Dict[str, int]:
-    """Hit/miss/ineligible counters plus size, for tests and benchmarks."""
-    return {**_STRUCTURAL_STATS, "size": len(_STRUCTURAL_CACHE)}
-
-
-def clear_structural_cache() -> None:
-    _STRUCTURAL_CACHE.clear()
-    _STRUCTURAL_STATS["hits"] = 0
-    _STRUCTURAL_STATS["misses"] = 0
-    _STRUCTURAL_STATS["ineligible"] = 0
 
 
 # ---------------------------------------------------------------------------

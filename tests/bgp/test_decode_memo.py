@@ -10,14 +10,11 @@ buffer always takes the full parse so exploration records every branch.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bgp import messages
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.fsm import SessionState
 from repro.bgp.messages import (
     NotificationMessage,
     UpdateMessage,
-    clear_decode_cache,
-    decode_cache_info,
     decode_message,
 )
 from repro.bgp.nlri import NlriEntry
@@ -27,6 +24,7 @@ from repro.concolic.env import RecordingEnvironment
 from repro.core.inputs import WholeMessageModel
 from repro.util.errors import WireFormatError
 from repro.util.ip import Prefix
+from repro.util.memo import registry
 
 CONFIG = """
 router bgp 65010;
@@ -44,11 +42,14 @@ neighbor gamma { remote-as 65003; passive; }
 """
 
 
+MEMO = registry()["bgp.decode"]
+
+
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    clear_decode_cache()
+    MEMO.clear()
     yield
-    clear_decode_cache()
+    MEMO.clear()
 
 
 def sample_update(prefix="10.10.1.0/24", asns=(65001, 777)):
@@ -62,7 +63,9 @@ def test_repeated_payload_is_decoded_once():
     payload = sample_update().encode()
     first = decode_message(payload)
     assert decode_message(payload) is first
-    assert decode_cache_info() == {"hits": 1, "misses": 1, "evictions": 0, "size": 1}
+    assert MEMO.info() == {
+        "hits": 1, "misses": 1, "evictions": 0, "size": 1, "bound": 1024,
+    }
 
 
 def test_malformed_payload_raises_twice_and_is_never_cached():
@@ -76,19 +79,23 @@ def test_malformed_payload_raises_twice_and_is_never_cached():
         errors.append((type(caught.value), caught.value.code, caught.value.subcode,
                        str(caught.value)))
     assert errors[0] == errors[1]
-    assert decode_cache_info() == {"hits": 0, "misses": 2, "evictions": 0, "size": 0}
+    assert MEMO.info() == {
+        "hits": 0, "misses": 2, "evictions": 0, "size": 0, "bound": 1024,
+    }
 
 
 def test_bound_holds_and_evictions_are_counted(monkeypatch):
-    monkeypatch.setattr(messages, "_DECODE_CACHE_MAX", 4)
+    monkeypatch.setattr(MEMO, "bound", 4)
     payloads = [NotificationMessage(6, subcode).encode() for subcode in range(10)]
     for payload in payloads:
         decode_message(payload)
-    assert decode_cache_info() == {"hits": 0, "misses": 10, "evictions": 6, "size": 4}
+    assert MEMO.info() == {
+        "hits": 0, "misses": 10, "evictions": 6, "size": 4, "bound": 4,
+    }
     # Oldest first: the last four survive, the first was evicted.
     decode_message(payloads[-1])
     decode_message(payloads[0])
-    info = decode_cache_info()
+    info = MEMO.info()
     assert (info["hits"], info["misses"], info["evictions"], info["size"]) == (1, 11, 7, 4)
 
 
@@ -131,7 +138,7 @@ def test_handle_update_leaves_shared_message_intact(update, peer):
         for sent in router.env.sent:
             decode_message(sent.payload)
     assert decode_message(payload) is shared
-    clear_decode_cache()
+    MEMO.clear()
     fresh = decode_message(payload)
     assert fresh is not shared
     assert fresh == shared
@@ -140,7 +147,7 @@ def test_handle_update_leaves_shared_message_intact(update, peer):
 def test_symbolic_buffers_bypass_the_memo():
     observed = sample_update()
     decode_message(observed.encode())  # the concrete twin is memoized
-    before = decode_cache_info()
+    before = MEMO.info()
     model = WholeMessageModel(observed)
     spec = model.spec()
     runs = []
@@ -154,4 +161,4 @@ def test_symbolic_buffers_bypass_the_memo():
         assert message.nlri[0].to_prefix() == observed.nlri[0].to_prefix()
     assert runs[0] == runs[1]
     assert len(runs[0][1]) > 0, "the symbolic parse must record its branches"
-    assert decode_cache_info() == before
+    assert MEMO.info() == before

@@ -29,6 +29,7 @@ from repro.concolic.solver import (
     propagate_memo_info,
     semantic_query_key,
 )
+from repro.concolic.solver import cache as solver_cache
 from repro.concolic.solver.cache import box_items, box_subsumes
 from repro.concolic.solver.search import validate_model
 from repro.concolic.tracer import BranchSite
@@ -247,8 +248,13 @@ class TestValidateModel:
 
 
 class TestSemanticIndex:
+    @pytest.fixture(autouse=True)
+    def small_bounds(self, monkeypatch):
+        monkeypatch.setattr(solver_cache, "SEMANTIC_KEYS", 2)
+        monkeypatch.setattr(solver_cache, "SEMANTIC_BOXES", 2)
+
     def test_box_buckets_are_bounded(self):
-        index = SemanticIndex(max_keys=2, max_boxes=2)
+        index = SemanticIndex()
         for hi in (10, 20, 30):
             index.put(b"k1", {"x": (0, hi)}, ("unsat",))
         assert len(index.get(b"k1")) == 2
@@ -260,7 +266,7 @@ class TestSemanticIndex:
         }
 
     def test_keys_evict_fifo(self):
-        index = SemanticIndex(max_keys=2, max_boxes=2)
+        index = SemanticIndex()
         index.put(b"k1", {"x": (0, 10)}, ("unsat",))
         index.put(b"k2", {"x": (0, 10)}, ("unsat",))
         index.put(b"k3", {"x": (0, 10)}, ("unsat",))
@@ -281,32 +287,15 @@ class TestSemanticIndex:
 
 
 class TestBoundedExactCache:
-    def test_lru_eviction_order_and_counters(self):
-        cache = DictConstraintCache(max_entries=2)
+    def test_fifo_eviction_order_and_counters(self, monkeypatch):
+        cache = DictConstraintCache()
+        monkeypatch.setattr(cache, "bound", 2)
         cache.put(b"a", ("unsat",))
         cache.put(b"b", ("unsat",))
-        assert cache.get(b"a") is not None  # refresh a → b is now oldest
+        assert cache.get(b"a") is not None  # a hit does not refresh a
         cache.put(b"c", ("unsat",))
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") is not None
+        assert cache.get(b"a") is None
+        assert cache.get(b"b") is not None
         assert cache.get(b"c") is not None
-        assert cache.evictions == 1
         info = cache.info()
-        assert info["max_entries"] == 2 and info["entries"] == 2
-
-    def test_unbounded_by_default(self):
-        cache = DictConstraintCache()
-        for i in range(100):
-            cache.put(str(i).encode(), ("unsat",))
-        assert len(cache) == 100 and cache.evictions == 0
-        assert cache.info()["max_entries"] is None
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            DictConstraintCache(max_entries=0)
-
-    def test_semantic_layer_optional(self):
-        cache = DictConstraintCache(semantic=False)
-        cache.put_semantic(b"k", {"x": (0, 10)}, ("unsat",))
-        assert cache.get_semantic(b"k") == ()
-        assert "semantic_keys" not in cache.info()
+        assert info["evictions"] == 1 and info["entries"] == 2

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.bgp.config import (
-    clear_parse_cache,
-    parse_cache_info,
-    parse_config_cached,
-)
+from repro.bgp.config import parse_config_cached
 from repro.concolic import ExplorationBudget
 from repro.core import (
     BuiltScenario,
@@ -18,6 +14,7 @@ from repro.core import (
     synthesize_hijack_corpus,
 )
 from repro.core.scenario import provider_config
+from repro.util.memo import registry
 from repro.util.errors import ConfigError
 
 SMALL_BUDGET = ExplorationBudget(max_executions=6)
@@ -175,11 +172,12 @@ class TestFederatedExploration:
 
 class TestParseCache:
     def test_identical_text_parsed_once(self):
-        clear_parse_cache()
+        parsed = registry()["bgp.config.parse"]
+        parsed.clear()
         text = provider_config("erroneous")
         first = parse_config_cached(text)
         second = parse_config_cached(text)
-        info = parse_cache_info()
+        info = parsed.info()
         assert info["misses"] == 1 and info["hits"] == 1
         # Callers get private instances, never a shared one.
         assert first is not second
@@ -192,18 +190,16 @@ class TestParseCache:
         # ineligible nodes fall through to the content-hash parse
         # cache.  A rebuild must be absorbed one way or the other —
         # one cache hit per AS, zero new parses.
-        from repro.topology.graph import (
-            clear_structural_cache, structural_cache_info,
-        )
-
-        clear_parse_cache()
-        clear_structural_cache()
+        parsed = registry()["bgp.config.parse"]
+        structural = registry()["topology.structural"]
+        parsed.clear()
+        structural.clear()
         get_scenario("clique-4").build(seed=1)
-        baseline = parse_cache_info()
-        structural_baseline = structural_cache_info()
+        baseline = parsed.info()
+        structural_baseline = structural.info()
         get_scenario("clique-4").build(seed=1)
-        after = parse_cache_info()
-        structural_after = structural_cache_info()
+        after = parsed.info()
+        structural_after = structural.info()
         absorbed = (
             (after["hits"] - baseline["hits"])
             + (structural_after["hits"] - structural_baseline["hits"])
@@ -213,10 +209,11 @@ class TestParseCache:
         assert structural_after["misses"] == structural_baseline["misses"]
 
     def test_parse_errors_are_not_cached(self):
-        clear_parse_cache()
+        parsed = registry()["bgp.config.parse"]
+        parsed.clear()
         with pytest.raises(ConfigError):
             parse_config_cached("router bgp nonsense")
-        assert parse_cache_info()["size"] == 0
+        assert len(parsed) == 0
 
 
 class TestCli:

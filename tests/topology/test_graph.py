@@ -7,6 +7,7 @@ from repro.topology import AsGraph, TAG, build_routers, render_config
 from repro.topology.generators import line, ring, star, tiered
 from repro.util.errors import TopologyError
 from repro.util.ip import Prefix
+from repro.util.memo import registry
 
 P = Prefix.parse
 
@@ -212,9 +213,9 @@ class TestStructuralConfigCache:
         """Template-patched configs are indistinguishable from parsed ones."""
         from repro.bgp.config import parse_config
         from repro.topology.generators import hierarchical
-        from repro.topology.graph import clear_structural_cache, render_structured
+        from repro.topology.graph import render_structured
 
-        clear_structural_cache()
+        registry()["topology.structural"].clear()
         graph = hierarchical(30, seed=9)
         for name in graph.nodes:
             structured = render_structured(graph, name)
@@ -223,22 +224,18 @@ class TestStructuralConfigCache:
 
     def test_hits_accumulate_on_identical_stubs(self):
         from repro.topology.generators import hierarchical
-        from repro.topology.graph import (
-            clear_structural_cache,
-            render_structured,
-            structural_cache_info,
-        )
+        from repro.topology.graph import render_structured
 
-        clear_structural_cache()
+        structural = registry()["topology.structural"]
+        structural.clear()
         graph = hierarchical(40, seed=3)
         for name in graph.nodes:
             render_structured(graph, name)
-        info = structural_cache_info()
+        info = structural.info()
         # Transit providers (cust-in filters) are ineligible; the stub
         # majority shares a handful of templates.
         assert info["hits"] > len(graph.nodes) // 2
         assert info["misses"] <= 8
-        assert info["ineligible"] >= 1
 
     def test_customer_bearing_nodes_bypass_the_template_cache(self):
         from repro.topology.graph import _structural_key
@@ -249,9 +246,8 @@ class TestStructuralConfigCache:
 
     def test_build_routers_converges_through_the_cache(self):
         from repro.topology.generators import hierarchical
-        from repro.topology.graph import clear_structural_cache
 
-        clear_structural_cache()
+        registry()["topology.structural"].clear()
         graph = hierarchical(12, seed=4)
         host, routers = build_routers(graph)
         host.run()
