@@ -1,9 +1,9 @@
 """STREAM — shipping economics of the streaming pipeline.
 
 Shipping the checkpoint inside every job would pickle the full state
-once per seed; the streaming pipeline (``repro.parallel.stream``) ships
-each worker the full image once per epoch and only changed segments on
-re-checkpoint, over persistent workers.  This benchmark measures what
+once per seed; the streaming pipeline (``repro.parallel.stream``) forks
+persistent workers holding every epoch-0 checkpoint template and ships
+only changed segments on re-checkpoint.  This benchmark measures what
 that buys:
 
 * **checkpoint bytes per job** — the acceptance metric: streaming's

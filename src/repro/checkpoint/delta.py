@@ -17,14 +17,18 @@ module makes checkpoints *diffable*:
   the changed segments.
 * :meth:`CheckpointDelta.apply` reassembles the successor image on the
   receiving side; the result is byte-identical to a fresh capture of the
-  same state, so a worker that got "full image once, deltas after" holds
-  exactly what a worker that got the full re-ship would.
+  same state, so a worker that got "inherited template, deltas after"
+  holds exactly what a worker that got the full re-ship would.
 
-The streaming pipeline (:mod:`repro.parallel.stream`) ships a full image
-to each worker once per process lifetime and a delta per re-checkpoint
-epoch; workers assemble the state once per received epoch and hand it to
-a classic :class:`Checkpoint` (:meth:`CheckpointImage.as_checkpoint`),
-whose clone-per-execution loop then forks it like any local checkpoint.
+The streaming pipeline (:mod:`repro.parallel.stream`) keeps every epoch
+as a :class:`Checkpoint` template, which a forked worker inherits copy-
+on-write with nothing serialized, and builds an image from it
+(:meth:`CheckpointImage.from_checkpoint`) only where bytes must cross a
+process boundary: a delta's base, or a full ship to a worker that never
+inherited the epoch.  A worker assembles the state once per *shipped*
+epoch and hands it to a classic :class:`Checkpoint`
+(:meth:`CheckpointImage.as_checkpoint`), whose clone-per-execution loop
+then forks it like any local checkpoint.
 """
 
 from __future__ import annotations
@@ -219,6 +223,27 @@ class CheckpointImage:
             epoch=epoch,
             node=node_id,
             sequence=sequence,
+        )
+
+    @classmethod
+    def from_checkpoint(
+        cls, checkpoint: Checkpoint, epoch: int = 0, node_id: str = ""
+    ) -> "CheckpointImage":
+        """The segments of a captured template.
+
+        A fork pickles to the bytes of its original, so this image is
+        byte-identical to a :meth:`capture` of the node at the moment the
+        template was taken, on whichever side of a process boundary it is
+        built.
+        """
+        return cls(
+            name=checkpoint.name,
+            node_type=checkpoint.node_type,
+            segments=state_segments(checkpoint.frozen_state()),
+            node_time=checkpoint.node_time,
+            epoch=epoch,
+            node=node_id,
+            sequence=checkpoint.sequence,
         )
 
     @property

@@ -118,19 +118,28 @@ class Checkpoint:
             sequence=sequence,
         )
 
+    def frozen_state(self) -> object:
+        """The captured state, for reading only: never hand it to a node.
+
+        A forkable node's template is thawed from the bytes once (a batch-
+        engine job arrives that way) and kept; any other node's state is
+        unpickled afresh, so each call returns a private copy.
+        """
+        if self._template is not None:
+            return self._template
+        try:
+            state = pickle.loads(self.state_bytes)
+        except Exception as exc:
+            raise CheckpointError(f"checkpoint {self.name!r} is corrupt: {exc}") from exc
+        if hasattr(self.node_type, "fork_state"):
+            self._template = state
+        return state
+
     def _clone_state(self) -> object:
         """A private state for one clone."""
         fork = getattr(self.node_type, "fork_state", None)
-        if fork is None or self._template is None:
-            try:
-                state = pickle.loads(self.state_bytes)
-            except Exception as exc:
-                raise CheckpointError(f"checkpoint {self.name!r} is corrupt: {exc}") from exc
-            if fork is None:
-                return state
-            # Arrived as bytes (a batch-engine job): thaw once, fork after.
-            self._template = state
-        return fork(self._template)
+        state = self.frozen_state()
+        return state if fork is None else fork(state)
 
     def restore(self, env: Environment) -> Checkpointable:
         """Materialize a clone of the captured state onto ``env``.

@@ -851,7 +851,8 @@ def _stream_corpora(corpora, engine, pool, epochs, churn_threshold):
     """Feed ``{tenant: (exploration, seeds by node)}`` through **one**
     shared streaming pool; returns the closed pipeline.
 
-    Every AS's epoch-0 image ships to the same worker processes; seeds
+    Every AS's epoch-0 template is inherited by the same worker
+    processes when they fork; seeds
     enter node-tagged (per-node arrival indices keep batch parity),
     epoch boundaries ship per-node deltas.  Seeds dispatch in per-node
     arrival order: coverage-guided reordering pays on open-ended

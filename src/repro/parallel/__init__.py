@@ -6,8 +6,9 @@ supplies the throughput half of that story — one process pool, two ways
 in:
 
 * :class:`StreamingExplorer` (:mod:`repro.parallel.stream`) is the pool:
-  persistent, supervised workers pull jobs continuously, checkpoints
-  ship once per epoch with only changed segments on re-checkpoint, and
+  persistent, supervised workers pull jobs continuously, fork holding
+  the checkpoint templates (epoch 0 ships nothing), receive only changed
+  segments on re-checkpoint, and
   findings harvest asynchronously — exploration overlaps live traffic
   instead of pausing for rounds;
 * :class:`ParallelExplorer` explores a *batch* of observed seeds — all

@@ -87,8 +87,9 @@ def display_node(scoped: str) -> str:
 class StreamJob:
     """One seed's exploration session, shipped *without* its checkpoint.
 
-    The checkpoint is resident in the worker (shipped once per epoch per
-    node), as are the engine options (given when it was built); the job
+    The checkpoint is resident in the worker (a template inherited when
+    it was built, or shipped at an epoch boundary), as are the engine
+    options (given when it was built); the job
     names the ``(node, epoch)`` image it runs against.
     ``index`` is the seed's arrival number *within its node* — the
     strategy RNG derives from it exactly as a serial-loop job derives

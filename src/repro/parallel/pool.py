@@ -7,14 +7,14 @@ runs on one in-process worker):
 * a :class:`WorkerSupervisor` **respawns** dead workers at their slot
   with exponential backoff, deterministic jitter and a per-slot restart
   cap (``max_restarts=0``: the pool only shrinks), and the replacement
-  is shipped every node's current image;
+  inherits every retained checkpoint template when it forks;
 * a :class:`PoolAutoscaler` grows and shrinks the pool between
   ``min_workers`` and ``max_workers`` on observed backlog and drain
   rate.  A shrink retires the *highest* slot gracefully — STOP queues
   behind its in-flight work — while a slot lost to a crash still
   respawns;
 * the wait is **event-driven**: :meth:`WorkerPool.wait` blocks on the
-  result pipe and the worker sentinels, so neither harvest latency nor
+  workers' result pipes and sentinels, so neither harvest latency nor
   crash detection has a polling floor.
 
 Both policies are pure bookkeeping; :class:`WorkerPool` owns the
@@ -26,11 +26,12 @@ coordinator's — the seams a deterministic simulation substitutes.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import time
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.checkpoint.snapshot import Checkpoint
+from repro.parallel.jobs import ImageKey
 from repro.parallel.options import EngineOptions
 from repro.parallel.reports import StreamReport
 from repro.parallel.transport import (
@@ -53,8 +54,8 @@ SPAWN_ERRORS = (OSError, PermissionError, ValueError)
 class WorkerSupervisor:
     """Respawn policy for dead worker slots: backoff, jitter, restart caps.
 
-    Pure bookkeeping — the coordinator owns the actual process spawning
-    and image re-shipping; the supervisor decides *whether* a slot may
+    Pure bookkeeping — the coordinator owns the actual process
+    spawning; the supervisor decides *whether* a slot may
     come back and *when*.  The backoff schedule is deterministic: the
     jitter for (slot, attempt) derives from the stream's strategy seed,
     so two runs of the same chaos plan respawn at the same offsets and
@@ -296,8 +297,9 @@ class WorkerPool:
     ``workers`` is homogeneous — process workers, or one in-process
     worker — plus, on demand, ``fallback``: the in-process worker dead
     workers' jobs are re-run on.  Every one of them is built with
-    ``engine`` (and the shared cache); ``prime`` ships a fresh worker
-    every node's current image.
+    ``engine``, the shared cache and — but for ``fallback``, to which
+    each salvaged job brings its own — whatever ``templates`` returns:
+    the retained checkpoint templates, inherited by a forked worker.
     """
 
     def __init__(
@@ -305,7 +307,7 @@ class WorkerPool:
         report: StreamReport,
         supervisor: WorkerSupervisor,
         autoscaler: Optional[PoolAutoscaler],
-        prime: Callable[[_WorkerHandle], None],
+        templates: Callable[[], Dict[ImageKey, Checkpoint]],
         spawn: Callable[..., _WorkerHandle],
         engine: EngineOptions,
     ) -> None:
@@ -313,21 +315,34 @@ class WorkerPool:
         self.engine = engine
         self.supervisor = supervisor
         self.autoscaler = autoscaler
-        self._prime = prime
+        self._templates = templates
         self._spawn_worker = spawn
         self.workers: List[_WorkerHandle] = []
         self.fallback: Optional[_InlineWorker] = None
         self.cache: Optional[object] = None
-        self._results = None
+        #: Started as a process pool (its wait blocks even while every
+        #: worker is down awaiting a respawn).
+        self._processes = False
         self._started = 0.0
 
     # -- membership ----------------------------------------------------------
 
     def _spawn(self, slot: int) -> _WorkerHandle:
-        """The one place a worker process is created."""
-        return self._spawn_worker(
-            slot, self._results, self.cache, engine=self.engine
-        )
+        """The one place a worker process is created: it forks holding
+        every retained template, so its ledger needs no ship."""
+        templates = self._templates()
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        try:
+            worker = self._spawn_worker(
+                slot, (reader, writer), self.cache,
+                engine=self.engine, templates=templates,
+            )
+        except BaseException:
+            reader.close()
+            writer.close()
+            raise
+        self.report.images_inherited += len(templates)
+        return worker
 
     def start(
         self, count: int, cache: Optional[object], inline: bool, now: float
@@ -339,24 +354,20 @@ class WorkerPool:
         self._started = now
         if not inline:
             try:
-                self._results = multiprocessing.Queue()
                 for slot in range(count):
                     self.workers.append(self._spawn(slot))
             except SPAWN_ERRORS as exc:
                 for worker in self.workers:
                     worker.stop(grace=0.1)
                 self.workers = []
-                self._results = None
                 self.report.fallback_reason = f"{type(exc).__name__}: {exc}"
-        self.report.used_processes = bool(self.workers)
+        self.report.used_processes = self._processes = bool(self.workers)
         if not self.workers:
             # An in-process pool cannot grow: nothing to autoscale.
             self.autoscaler = None
-            self.workers = [_InlineWorker(cache, self.engine)]
-        # Every process is forked before the first queue write starts a
-        # feeder thread in this one.
-        for worker in self.workers:
-            self._prime(worker)
+            templates = self._templates()
+            self.workers = [_InlineWorker(cache, self.engine, templates)]
+            self.report.images_inherited += len(templates)
         self._sync_metrics()
 
     def alive(self) -> List[_WorkerHandle]:
@@ -373,7 +384,7 @@ class WorkerPool:
 
     def ensure_fallback(self) -> _InlineWorker:
         """The in-process salvage worker, created on demand.  It is sent
-        no epochs: each salvaged job brings the one image it names."""
+        no epochs: each salvaged job brings the template it names."""
         if self.fallback is None:
             self.fallback = _InlineWorker(self.cache, self.engine)
         return self.fallback
@@ -408,7 +419,8 @@ class WorkerPool:
             self.report.used_processes = False
 
     def respawn_due(self, now: float) -> bool:
-        """Bring booked slots back: fresh process, current images re-shipped."""
+        """Bring booked slots back: fresh process, retained templates
+        inherited."""
         progressed = False
         for slot in self.supervisor.due_slots(now):
             try:
@@ -420,7 +432,6 @@ class WorkerPool:
                         f"{type(exc).__name__}: {exc}"
                     )
                 continue
-            self._prime(replacement)
             self.workers = [w for w in self.workers if w.slot != slot]
             self.workers.append(replacement)
             self.workers.sort(key=lambda worker: worker.slot)
@@ -458,7 +469,8 @@ class WorkerPool:
         return decision == "shrink" and self.shrink(now)
 
     def grow(self, now: float) -> bool:
-        """Add one worker at the lowest free slot; ship current images."""
+        """Add one worker at the lowest free slot, holding every retained
+        template."""
         if len(self.dispatchable()) >= self.autoscaler.max_workers:
             return False
         occupied = {worker.slot for worker in self.workers}
@@ -475,7 +487,6 @@ class WorkerPool:
                 f"{type(exc).__name__}: {exc}"
             )
             return False
-        self._prime(worker)
         self.workers.append(worker)
         self._record_resize("grow", slot, now)
         return True
@@ -506,33 +517,24 @@ class WorkerPool:
 
     def wait(self, timeout: float) -> None:
         """Block until a result can arrive, a worker dies, or ``timeout``:
-        ``multiprocessing.connection.wait`` over the result queue's
-        reader pipe and every live worker's sentinel.  Nothing can
-        happen to an in-process pool while it waits."""
-        if timeout <= 0 or self._results is None:
+        ``multiprocessing.connection.wait`` over every live worker's
+        result pipe and sentinel.  Nothing can happen to an in-process
+        pool while it waits."""
+        if timeout <= 0 or not self._processes:
             return
-        reader = getattr(self._results, "_reader", None)
-        if reader is None:  # pragma: no cover - exotic queue implementation
-            time.sleep(min(timeout, 0.005))
+        handles = [handle for w in self.alive() for handle in w.waitables()]
+        if not handles:
+            # Every worker is down and a respawn is booked.
+            time.sleep(timeout)
             return
-        conns = [reader] + [worker.sentinel for worker in self.alive()]
         try:
-            mp_connection.wait(conns, timeout)
-        except OSError:  # pragma: no cover - sentinel closed mid-wait
+            mp_connection.wait(handles, timeout)
+        except OSError:  # pragma: no cover - handle closed mid-wait
             pass
 
-    def recv(self, grace: float = 0.0) -> List[tuple]:
-        """Every result the process workers have queued; ``grace`` waits
-        that long for the first (the queue's feeder-thread latency)."""
-        results: List[tuple] = []
-        try:
-            if grace > 0.0 and self._results is not None:
-                results.append(self._results.get(timeout=grace))
-            while self._results is not None:
-                results.append(self._results.get_nowait())
-        except (queue_module.Empty, EOFError, OSError):
-            pass
-        return results
+    def recv(self) -> List[tuple]:
+        """Every result the process workers have written."""
+        return [msg for worker in self.workers for msg in worker.recv()]
 
     def pump(self) -> List[tuple]:
         """Run the in-process workers' mailboxes; their results."""

@@ -166,7 +166,19 @@ class StreamReport(BatchReport):
     jobs_dropped: int = 0
     checkpoint_bytes_shipped: int = 0
     checkpoint_segments_shipped: int = 0
+    #: What a full re-ship of every node's current image costs, summed
+    #: over the images that exist.  An epoch is a fork template until
+    #: something needs its bytes, so this is 0 while every node's
+    #: current epoch is still one (epoch 0 of a pool that started and
+    #: was never advanced or grown by a tenant).
     full_checkpoint_bytes: int = 0
+    #: Epochs workers came to hold with nothing serialized: templates a
+    #: worker was built with (a forked one inherits them) or handed by
+    #: reference in process.
+    images_inherited: int = 0
+    #: Segment images built from templates on the coordinator: delta
+    #: bases, epoch candidates, and full ships to workers that lacked one.
+    images_materialized: int = 0
     #: Epoch boundaries crossed per federation node: how many deltas have
     #: been shipped against each node's image chain.
     deltas_by_node: Dict[str, int] = field(default_factory=dict)
@@ -292,6 +304,8 @@ class StreamReport(BatchReport):
                 "checkpoint_bytes_shipped": self.checkpoint_bytes_shipped,
                 "checkpoint_bytes_per_job": round(self.checkpoint_bytes_per_job),
                 "full_checkpoint_bytes": self.full_checkpoint_bytes,
+                "images_inherited": self.images_inherited,
+                "images_materialized": self.images_materialized,
                 "deltas_by_node": dict(self.deltas_by_node),
                 "pool_size": self.pool_size,
                 "pool_high_water": self.pool_high_water,

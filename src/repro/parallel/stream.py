@@ -90,7 +90,7 @@ class StreamingExplorer:
     Lifecycle::
 
         explorer = StreamingExplorer(workers=4)
-        explorer.start(live_router)            # epoch 0: full image to workers
+        explorer.start(live_router)            # epoch 0: workers fork holding it
         explorer.submit(peer, update)          # as traffic is observed
         explorer.poll()                        # non-blocking harvest
         explorer.advance_epoch()               # re-checkpoint: ships the delta
@@ -178,7 +178,7 @@ class StreamingExplorer:
                 seed=engine.strategy_seed,
             ),
             autoscaler,
-            prime=self._images.prime,
+            templates=self._images.templates,
             spawn=self._spawn,
             engine=engine,
         )
@@ -197,7 +197,7 @@ class StreamingExplorer:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self, live_router: BgpRouter) -> "StreamingExplorer":
-        """Capture epoch 0, spin up the worker pool, ship the full image."""
+        """Capture epoch 0, spin up the worker pool holding it."""
         return self.start_nodes({DEFAULT_NODE: live_router})
 
     def start_nodes(
@@ -205,8 +205,9 @@ class StreamingExplorer:
     ) -> "StreamingExplorer":
         """Register a whole federation on one pool.
 
-        Captures every node's epoch-0 image, starts the (single) worker
-        pool, and ships each image — node-tagged — to every worker.
+        Captures every node's epoch-0 template, then starts the (single)
+        worker pool: every worker is built holding every template — a
+        forked one inherits them, nothing is shipped.
         With ``tenant`` given the federation's keys are tenant-scoped;
         further federations join the running pool via :meth:`add_tenant`.
         """
@@ -250,7 +251,7 @@ class StreamingExplorer:
     def _register_tenant(
         self, tenant: str, live_routers: Dict[str, BgpRouter]
     ) -> None:
-        """Capture and retain a federation's epoch-0 images, scoped."""
+        """Capture and retain a federation's epoch-0 templates, scoped."""
         if TENANT_SEP in tenant:
             raise ExplorationError(f"invalid tenant name {tenant!r}")
         if tenant in self._tenant_reports:
@@ -274,9 +275,11 @@ class StreamingExplorer:
     ) -> "StreamingExplorer":
         """Register another federation on the *running* pool.
 
-        Captures the new tenant's epoch-0 images and ships them to every
-        dispatchable worker, so the new tenant's jobs can dispatch
-        anywhere the existing tenants' can.  Keys, images, scheduler
+        Captures the new tenant's epoch-0 templates and makes them
+        resident on every dispatchable worker — a running process can
+        inherit nothing more, so it is shipped each node's full image —
+        so the new tenant's jobs can dispatch anywhere the existing
+        tenants' can.  Keys, images, scheduler
         state, and the constraint cache are all tenant-scoped — the
         federations share capacity, nothing else.
         """
@@ -605,6 +608,9 @@ class StreamingExplorer:
         worker, prunes the slot — the shrink stands.
         """
         worker.lost = True
+        # What it finished before it was lost is harvested, not re-run.
+        for msg in worker.recv():
+            self._handle_result(msg)
         worker.kill()
         budget = self.pool_options.retry_budget
         for record in self._jobs.on_slot(worker.slot):
@@ -800,9 +806,7 @@ class StreamingExplorer:
             self._pool.wait(
                 min(block_seconds, self._next_wakeup(self._clock()))
             )
-        # A wait already slept; take whatever landed with a tiny grace
-        # for the queue's feeder latency.
-        results = self._pool.recv(grace=0.01 if block_seconds > 0.0 else 0.0)
+        results = self._pool.recv()
         for msg in results:
             self._handle_result(msg)
         progressed = bool(results) | self._supervise()
@@ -858,9 +862,11 @@ class StreamingExplorer:
     ) -> Dict[str, object]:
         """Epoch boundary for one node: re-checkpoint, ship only the diff.
 
-        Every dispatchable worker gets the node-tagged delta (its
-        resident image for that node plus the changed segments
-        reassemble the new epoch byte-identically); seeds for this node
+        Every dispatchable process worker gets the node-tagged delta
+        (its resident image for that node — or the image it builds from
+        the template it inherited — plus the changed segments reassemble
+        the new epoch byte-identically), an in-process worker the new
+        template itself; seeds for this node
         *submitted* from here on are bound to the new epoch, seeds
         already queued keep the one they were born with.  Other nodes'
         images and epochs are untouched — per-node delta bases are the
@@ -878,7 +884,7 @@ class StreamingExplorer:
         """
         self._require_open()
         node = self._registered(scoped_node(tenant, node), "advance_epoch for")
-        image, dirty = self._images.capture_next(node)
+        candidate, dirty = self._images.capture_next(node)
         info: Dict[str, object] = {
             "node": plain_node(node),
             "tenant": tenant,
@@ -892,21 +898,21 @@ class StreamingExplorer:
             self.report.epochs_skipped_quiet += 1
             info["churn_threshold"] = churn_threshold
             return info
-        delta = self._images.commit(image)
+        delta = self._images.commit(candidate)
         for worker in self._pool.dispatchable():
-            self._images.ship(worker, delta)
+            self._images.ship(worker, candidate, delta)
         self.report.epochs += 1
         display = display_node(node)
         self.report.deltas_by_node[display] = (
             self.report.deltas_by_node.get(display, 0) + 1
         )
         info.update(
-            epoch=image.epoch,
+            epoch=candidate.epoch,
             skipped=False,
             segments_shipped=delta.segments_shipped,
-            segments_total=len(image.segments),
+            segments_total=len(candidate.image.segments),
             bytes_shipped=delta.bytes_shipped,
-            bytes_full=image.total_bytes,
+            bytes_full=candidate.image.total_bytes,
         )
         return info
 
@@ -933,7 +939,7 @@ class StreamingExplorer:
         The service loop's primitive.  Where :meth:`poll` returns
         immediately (forcing callers into a poll-plus-sleep loop whose
         sleep is a latency floor on every result), ``harvest`` blocks on
-        the result-queue pipe and worker sentinels — waking the instant
+        the workers' result pipes and sentinels — waking the instant
         a result lands — while still honoring supervision and autoscale
         deadlines.  Returns the reports harvested by this call; an empty
         list means the stream went idle (or the timeout expired) with

@@ -1,16 +1,21 @@
 """Worker transport: the message protocol and the two ways to carry it.
 
 A :class:`_ProcessWorker` is a **persistent** process pulling messages
-from its own FIFO queue and pushing results to the pool's shared result
-queue.  An :class:`_InlineWorker` runs the identical
-:class:`_WorkerState` from a mailbox when the coordinator pumps it: it
+from its own FIFO queue and writing results into its own result pipe,
+whose write end only the child holds: a worker that dies — even halfway
+through a result — reads as the end of its channel, never as a frame
+the coordinator waits on forever.  An :class:`_InlineWorker` runs the
+identical :class:`_WorkerState` from a mailbox when the coordinator pumps it: it
 *is* the pool where processes are unavailable (or ``force_serial``),
 and it is where a dead worker's jobs are re-run.  Both are a
 :class:`_WorkerHandle`; the coordinator never asks which one it holds.
 
 A worker is built with the run's
-:class:`~repro.parallel.options.EngineOptions` and the shared cache;
-from then on its only inputs are messages.
+:class:`~repro.parallel.options.EngineOptions`, the shared cache and the
+coordinator's retained checkpoint templates — a process worker receives
+all three as process arguments, so under ``fork`` it inherits them
+copy-on-write and nothing is serialized.  From then on its only inputs
+are messages.
 
 The protocol is node-aware: every job names its federation node and a
 worker holds a ``{(node, epoch): image}`` table, so *one* pool serves
@@ -18,10 +23,14 @@ every AS of every tenant (a job's tenant scopes the worker's view
 of the shared constraint cache).
 
 **One image ledger.**  ``handle.images`` is what the coordinator knows
-to be resident behind a handle.  Which images survive is decided by the
+to be resident behind a handle: it starts as the keys of the templates
+the worker was built with.  An epoch message makes one more resident,
+carrying a full image, a delta against a resident base, or — in process
+only — the template itself.  Which epochs survive is decided by the
 coordinator alone: every epoch message carries ``keep``, and both sides
 apply :func:`_superseded` to the same arguments in the same (FIFO)
-order, so the ledger cannot drift from the worker's table.
+order, templates and images alike, so the ledger cannot drift from the
+worker's tables.
 """
 
 from __future__ import annotations
@@ -67,22 +76,30 @@ def _superseded(
 
 
 class _WorkerState:
-    """Per-``(node, epoch)`` images, rebuilt checkpoints, job execution.
+    """Per-``(node, epoch)`` checkpoints and images, job execution.
 
     Shared by the process worker loop and the in-process worker so the
-    two transports cannot drift.  The image table is keyed by
+    two transports cannot drift.  Both tables are keyed by
     ``(node, epoch)`` — one worker holds every federation member's chain
     side by side, and dropping is strictly per node: advancing one AS's
-    epoch never touches another AS's resident image.
+    epoch never touches another AS's resident epoch.
     """
 
-    def __init__(self, cache: Optional[object], engine: EngineOptions) -> None:
+    def __init__(
+        self,
+        cache: Optional[object],
+        engine: EngineOptions,
+        templates: Optional[Dict[ImageKey, Checkpoint]] = None,
+    ) -> None:
         self.cache = cache
         #: The configuration of every session this worker runs, fixed
         #: when the worker is built.
         self.engine = engine
+        #: Segment images of shipped epochs (a delta's base, or its result).
         self.images: Dict[ImageKey, CheckpointImage] = {}
-        self.checkpoints: Dict[ImageKey, Checkpoint] = {}
+        #: What sessions restore from: the templates the worker was built
+        #: with or handed, and one assembled per shipped image.
+        self.checkpoints: Dict[ImageKey, Checkpoint] = dict(templates or {})
         #: Tenant-scoped cache views, built once per tenant per worker.
         self._tenant_caches: Dict[str, TenantCacheView] = {}
 
@@ -100,7 +117,7 @@ class _WorkerState:
         kind = msg[0]
         if kind == MSG_EPOCH:
             try:
-                self._apply_epoch(msg[1], msg[2])
+                self._apply_epoch(*msg[1:])
             except Exception as exc:
                 return (RES_ERROR, NO_JOB, f"{type(exc).__name__}: {exc}")
             return None
@@ -121,22 +138,33 @@ class _WorkerState:
             return result
         return None
 
-    def _apply_epoch(self, payload, keep: FrozenSet[int]) -> None:
-        if isinstance(payload, CheckpointDelta):
-            base = self.images.get(payload.base_key)
-            if base is None:
-                raise CheckpointError(
-                    f"delta for node {payload.node!r} epoch {payload.epoch} "
-                    f"arrived before its base image "
-                    f"(epoch {payload.base_epoch})"
-                )
-            image = payload.apply(base)
+    def _apply_epoch(self, key: ImageKey, payload, keep: FrozenSet[int]) -> None:
+        if isinstance(payload, Checkpoint):
+            self.checkpoints[key] = payload
+        elif isinstance(payload, CheckpointDelta):
+            self.images[key] = payload.apply(self._base(payload))
         else:
-            image = payload
-        self.images[image.image_key] = image
-        for key in _superseded(self.images, image.image_key, keep):
-            del self.images[key]
-            self.checkpoints.pop(key, None)
+            self.images[key] = payload
+        resident = set(self.images) | set(self.checkpoints)
+        for old in _superseded(resident, key, keep):
+            self.images.pop(old, None)
+            self.checkpoints.pop(old, None)
+
+    def _base(self, delta: CheckpointDelta) -> CheckpointImage:
+        """The image ``delta`` patches: shipped earlier, or built here from
+        the template the worker inherited — the same bytes either way."""
+        base = self.images.get(delta.base_key)
+        if base is not None:
+            return base
+        template = self.checkpoints.get(delta.base_key)
+        if template is None:
+            raise CheckpointError(
+                f"delta for node {delta.node!r} epoch {delta.epoch} "
+                f"arrived before its base image (epoch {delta.base_epoch})"
+            )
+        return CheckpointImage.from_checkpoint(
+            template, delta.base_epoch, delta.node
+        )
 
     def _run(self, job: StreamJob) -> SessionReport:
         checkpoint = self.checkpoints.get(job.image_key)
@@ -159,19 +187,22 @@ class _WorkerState:
         ))
 
 
-def stream_worker_main(job_queue, result_queue, cache, beacon, engine) -> None:
+def stream_worker_main(
+    job_queue, results, cache, beacon, engine, templates
+) -> None:
     """Entry point of one persistent streaming worker process.
 
-    ``cache`` and ``engine`` arrive once, as process arguments (a forked
-    child inherits them).  ``beacon`` (a
+    ``cache``, ``engine`` and ``templates`` arrive once, as process
+    arguments (a forked child inherits them; under ``spawn`` or
+    ``forkserver`` a template pickles to its state's bytes).  ``beacon`` (a
     :class:`~repro.parallel.worker.ProgressBeacon`) is
     stamped with the job's dispatch sequence before the session runs and
-    cleared after the result is queued — the worker's half of the hang-
+    cleared after the result is written — the worker's half of the hang-
     detection protocol.  Stamping brackets the *whole* handle, including
     result pickling: a job is only "done" once its result is safely in
-    the queue, so a worker dying mid-put still reads as busy.
+    the pipe, so a worker dying mid-write still reads as busy.
     """
-    state = _WorkerState(cache, engine)
+    state = _WorkerState(cache, engine, templates)
     while True:
         try:
             msg = job_queue.get()
@@ -185,7 +216,7 @@ def stream_worker_main(job_queue, result_queue, cache, beacon, engine) -> None:
         result = state.handle(msg)
         if result is not None:
             try:
-                result_queue.put(result)
+                results.send(result)
             except Exception:  # pragma: no cover - coordinator gone
                 break
         if stamped:
@@ -196,8 +227,10 @@ class _WorkerHandle:
     """The coordinator's end of one worker, whatever carries it."""
 
     slot = -1
+    #: Shares the coordinator's memory: takes templates by reference.
+    in_process = False
 
-    def __init__(self) -> None:
+    def __init__(self, resident: Iterable[ImageKey] = ()) -> None:
         #: Its jobs have been re-homed: never salvage this handle twice.
         self.lost = False
         #: Graceful-shrink flag: a retiring worker takes no new jobs, and
@@ -206,19 +239,27 @@ class _WorkerHandle:
         #: Lifetime accounting for the worker-seconds economics.
         self.started_at = time.monotonic()
         self.accounted = False
-        #: The ledger: ``(node, epoch)`` images resident behind this handle.
-        self.images: Set[ImageKey] = set()
+        #: The ledger: ``(node, epoch)`` epochs resident behind this handle.
+        self.images: Set[ImageKey] = set(resident)
 
-    def ship(self, payload, keep: FrozenSet[int]) -> None:
-        """Send a full image or a delta; the ledger follows the worker."""
-        self.send((MSG_EPOCH, payload, keep))
-        self.images.add(payload.image_key)
-        self.images.difference_update(
-            _superseded(self.images, payload.image_key, keep)
-        )
+    def ship(self, key: ImageKey, payload, keep: FrozenSet[int]) -> None:
+        """Make ``key`` resident; the ledger follows the worker."""
+        self.send((MSG_EPOCH, key, payload, keep))
+        self.images.add(key)
+        self.images.difference_update(_superseded(self.images, key, keep))
 
     def check(self, job: StreamJob) -> None:
         """Raise if ``job`` cannot be carried to this worker."""
+
+    def recv(self) -> List[tuple]:
+        """Every result the worker has written.  One it is still writing
+        is waited for; one cut off by its death is dropped."""
+        return []
+
+    def waitables(self) -> list:
+        """What :func:`multiprocessing.connection.wait` can block on for
+        this worker: its result channel and its death."""
+        return []
 
     def progress(self) -> Optional[Tuple[float, int]]:
         """``(stamp, seq)`` of the job being run, ``seq`` < 0 when idle;
@@ -231,30 +272,51 @@ class _WorkerHandle:
 
 
 class _ProcessWorker(_WorkerHandle):
-    """A persistent worker process and its dedicated FIFO job queue."""
+    """A persistent worker process, its FIFO job queue and result pipe.
+
+    ``results`` is the ``multiprocessing.Pipe(duplex=False)`` pair the
+    worker writes its results into; the handle keeps the read end and
+    closes its copy of the write end once the child holds it.
+    """
 
     def __init__(
-        self, slot: int, result_queue, cache, *, engine: EngineOptions
+        self,
+        slot: int,
+        results,
+        cache,
+        *,
+        engine: EngineOptions,
+        templates: Dict[ImageKey, Checkpoint],
     ) -> None:
-        super().__init__()
+        super().__init__(templates)
         self.slot = slot
         self.beacon = ProgressBeacon()
         self.queue: multiprocessing.Queue = multiprocessing.Queue()
+        self.results, writer = results
         self.process = multiprocessing.Process(
             target=stream_worker_main,
-            args=(self.queue, result_queue, cache, self.beacon, engine),
+            args=(self.queue, writer, cache, self.beacon, engine, templates),
             daemon=True,
             name=f"repro-stream-worker-{slot}",
         )
         self.process.start()
+        writer.close()
 
     @property
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    @property
-    def sentinel(self) -> int:
-        return self.process.sentinel
+    def recv(self) -> List[tuple]:
+        results: List[tuple] = []
+        try:
+            while self.results.poll():
+                results.append(self.results.recv())
+        except (EOFError, OSError):
+            pass  # the worker is gone, and so is any frame it cut off
+        return results
+
+    def waitables(self) -> list:
+        return [self.results, self.process.sentinel]
 
     def send(self, msg: tuple) -> None:
         self.queue.put(msg)
@@ -277,6 +339,7 @@ class _ProcessWorker(_WorkerHandle):
             # pipe) deadlocks interpreter exit in the queue finalizer.
             self.queue.cancel_join_thread()
             self.queue.close()
+            self.results.close()
         except Exception:  # pragma: no cover
             pass
 
@@ -316,9 +379,16 @@ class _InlineWorker(_WorkerHandle):
     coalescing behave identically under the serial fallback.
     """
 
-    def __init__(self, cache: Optional[object], engine: EngineOptions) -> None:
-        super().__init__()
-        self._state = _WorkerState(cache, engine)
+    in_process = True
+
+    def __init__(
+        self,
+        cache: Optional[object],
+        engine: EngineOptions,
+        templates: Optional[Dict[ImageKey, Checkpoint]] = None,
+    ) -> None:
+        super().__init__(templates or ())
+        self._state = _WorkerState(cache, engine, templates)
         self._mailbox: Deque[tuple] = deque()
         self.alive = True
         #: ``worker_seconds`` bills process lifetimes only.

@@ -75,7 +75,7 @@ class ProgressBeacon:
             self._cells[1] = float(seq)
 
     def clear(self) -> None:
-        """Mark this worker idle (job finished and result queued)."""
+        """Mark this worker idle (job finished and result written)."""
         with self._cells.get_lock():
             self._cells[0] = time.monotonic()
             self._cells[1] = self.IDLE
