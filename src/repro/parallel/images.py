@@ -160,13 +160,14 @@ class ImageStore:
     ) -> None:
         """Make ``entry`` resident behind ``worker`` by the cheapest
         carrier it takes — the template itself in process, else
-        ``delta`` when the worker holds its base, else the full image —
-        and account for it."""
+        ``delta`` (every dispatchable worker holds its node's current
+        epoch, the delta's base), else the full image — and account for
+        it."""
         if worker.in_process:
             worker.ship(entry.image_key, entry.template, self.keep(entry.node))
             self._report.images_inherited += 1
             return
-        if delta is not None and delta.base_key in worker.images:
+        if delta is not None:
             payload, size, segments = (
                 delta, delta.bytes_shipped, delta.segments_shipped
             )

@@ -168,9 +168,9 @@ class StreamReport(BatchReport):
     checkpoint_segments_shipped: int = 0
     #: What a full re-ship of every node's current image costs, summed
     #: over the images that exist.  An epoch is a fork template until
-    #: something needs its bytes, so this is 0 while every node's
-    #: current epoch is still one (epoch 0 of a pool that started and
-    #: was never advanced or grown by a tenant).
+    #: something needs its bytes, so this is 0 while no node's current
+    #: epoch has been materialized — a stream still on epoch 0 with no
+    #: tenant added to the running pool.
     full_checkpoint_bytes: int = 0
     #: Epochs workers came to hold with nothing serialized: templates a
     #: worker was built with (a forked one inherits them) or handed by

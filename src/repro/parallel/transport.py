@@ -194,8 +194,8 @@ def stream_worker_main(
 
     ``cache``, ``engine`` and ``templates`` arrive once, as process
     arguments (a forked child inherits them; under ``spawn`` or
-    ``forkserver`` a template pickles to its state's bytes).  ``beacon`` (a
-    :class:`~repro.parallel.worker.ProgressBeacon`) is
+    ``forkserver`` a template pickles to its state's bytes).
+    ``beacon`` (a :class:`~repro.parallel.worker.ProgressBeacon`) is
     stamped with the job's dispatch sequence before the session runs and
     cleared after the result is written — the worker's half of the hang-
     detection protocol.  Stamping brackets the *whole* handle, including
@@ -337,9 +337,9 @@ class _ProcessWorker(_WorkerHandle):
             # the queue has no reader.  Without cancel_join_thread a
             # feeder thread wedged mid-send (worker killed with a full
             # pipe) deadlocks interpreter exit in the queue finalizer.
+            self.results.close()
             self.queue.cancel_join_thread()
             self.queue.close()
-            self.results.close()
         except Exception:  # pragma: no cover
             pass
 

@@ -9,6 +9,7 @@ is identical to the serial run.  The federation-level parity suite in
 line-3 and tiered-8 topologies.
 """
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -28,6 +29,9 @@ from repro.parallel import (
     start_sharded_cache,
 )
 from repro.parallel.chaos import CHAOS_KINDS
+from repro.parallel.jobs import StreamJob
+from repro.parallel.options import EngineOptions
+from repro.parallel.transport import MSG_JOB, _ProcessWorker
 
 BUDGET = ExplorationBudget(max_executions=10)
 
@@ -381,3 +385,26 @@ class TestSupervisedRecovery:
         assert any("disabled" in event for event in report.chaos_events)
         assert report.jobs_completed == len(seeds)
         assert finding_keys(report) == serial_keys
+
+
+def test_result_cut_off_by_worker_death_reads_as_end_of_channel():
+    """A worker killed halfway through writing a result leaves a partial
+    frame in its own pipe; reading that channel ends instead of waiting
+    for bytes no process is left to write."""
+    worker = _ProcessWorker(
+        0, multiprocessing.Pipe(duplex=False), None,
+        engine=EngineOptions(), templates={},
+    )
+    try:
+        # A job naming no resident epoch is answered with an error that
+        # quotes its node: 8 MiB of it cannot fit in the pipe, so the
+        # worker blocks partway through the frame.
+        worker.send((MSG_JOB, StreamJob(
+            index=0, epoch=0, peer="p", observed=None, node="x" * (8 << 20),
+        )))
+        assert worker.results.poll(30)
+        worker.crash()
+        assert not worker.alive
+        assert worker.recv() == []
+    finally:
+        worker.kill()
