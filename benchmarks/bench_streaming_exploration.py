@@ -2,15 +2,16 @@
 
 Shipping the checkpoint inside every job would pickle the full state
 once per seed; the streaming pipeline (``repro.parallel.stream``) forks
-persistent workers holding every epoch-0 checkpoint template and ships
-only changed segments on re-checkpoint.  This benchmark measures what
-that buys:
+persistent workers holding every epoch-0 checkpoint template and, on
+re-checkpoint, ships only a key-level patch between two templates (the
+changed entries, removed keys and changed small components).  This
+benchmark measures what that buys:
 
 * **checkpoint bytes per job** — the acceptance metric: streaming's
   average transport cost per explored seed must be strictly below a
   full checkpoint pickle per job;
-* **delta vs. full re-ship** — after a small RIB change, the epoch
-  delta must be a sliver of the full image;
+* **patch vs. full re-ship** — after a small RIB change, the epoch
+  patch must be a sliver of the full state pickle;
 * **sharded cache** — duplicate seeds still resolve from the shared
   cache when it is spread across shard processes.
 
@@ -26,7 +27,7 @@ import pytest
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.nlri import NlriEntry
-from repro.checkpoint.delta import CheckpointImage
+from repro.checkpoint.delta import TemplatePatch
 from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic import ExplorationBudget
 from repro.core import get_scenario
@@ -96,11 +97,11 @@ def test_checkpoint_bytes_per_job_below_batch_baseline(benchmark, paper_rows, sc
 
 @pytest.mark.benchmark(group="streaming")
 def test_epoch_delta_is_sliver_of_full_image(benchmark, paper_rows, scenario):
-    """A small RIB change re-ships only the dirty segments."""
+    """A small RIB change ships only the changed entries."""
     router = scenario.provider
 
     def capture_and_diff():
-        base = CheckpointImage.capture(router, "base", epoch=0)
+        base = Checkpoint.capture(router, "base")
         router.handle_update(
             "customer",
             UpdateMessage(
@@ -110,19 +111,22 @@ def test_epoch_delta_is_sliver_of_full_image(benchmark, paper_rows, scenario):
                 nlri=[NlriEntry.from_prefix(Prefix.parse("98.76.0.0/16"))],
             ),
         )
-        after = CheckpointImage.capture(router, "after", epoch=1)
-        return after.diff(base), after
+        after = Checkpoint.capture(router, "after")
+        patch = TemplatePatch.between(base, after, epoch=1)
+        patch.seal()
+        return patch, after
 
-    delta, after = benchmark.pedantic(capture_and_diff, rounds=1, iterations=1)
-    fraction = delta.bytes_shipped / after.total_bytes
+    patch, after = benchmark.pedantic(capture_and_diff, rounds=1, iterations=1)
+    full = after.size_bytes
+    fraction = patch.bytes_shipped / full
     paper_rows.add(
-        "STREAM", "epoch delta after one-route change",
-        "ship only dirty segments (design goal)",
-        f"{delta.bytes_shipped}/{after.total_bytes} B ({fraction:.1%}), "
-        f"{delta.segments_shipped}/{len(after.segments)} segments",
+        "STREAM", "epoch patch after one-route change",
+        "ship only changed entries (design goal)",
+        f"{patch.bytes_shipped}/{full} B ({fraction:.1%}), "
+        f"{patch.dirty}/{patch.entries_total} entries",
     )
-    assert delta.bytes_shipped < after.total_bytes / 4
-    assert delta.segments_shipped < len(after.segments)
+    assert patch.bytes_shipped < full / 4
+    assert patch.dirty < patch.entries_total
 
 
 @pytest.mark.benchmark(group="streaming")

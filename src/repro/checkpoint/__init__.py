@@ -1,8 +1,9 @@
-"""Fork-style checkpointing, delta shipping, and copy-on-write page accounting."""
+"""Fork-style checkpointing, incremental shipping, and copy-on-write page accounting."""
 
 from repro.checkpoint.delta import (
     CheckpointDelta,
     CheckpointImage,
+    TemplatePatch,
     assemble_state,
     state_segments,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "Checkpointable",
     "CloneRecord",
     "MemoryReport",
+    "TemplatePatch",
     "assemble_state",
     "default_segments",
     "snapshot_pages",

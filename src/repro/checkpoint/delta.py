@@ -1,10 +1,26 @@
-"""Segment-structured checkpoints and incremental (delta) shipping.
+"""Incremental checkpoints: key-level template patches, segment images.
 
 Inside one process a :class:`Checkpoint` is a resident template cloned
 by structural sharing and never serialized.  Across processes the batch
 engine ships its full pickle inside *every* job — fine for a handful of
 seeds, ruinous for a large RIB streamed to long-lived workers.  This
-module makes checkpoints *diffable*:
+module makes checkpoints *diffable*, two ways.
+
+Two fork templates of one node share every unchanged ``Route`` by
+identity, so what changed between them is found without serializing
+anything: :class:`TemplatePatch` diffs them key by key (each RIB table
+through its ``delta_items()``, the small non-table components by their
+pickles) and carries only the changed entries, the removed keys and,
+when a key was withdrawn and re-announced, the re-inserted tail of the
+key order.  Applied to the earlier template on the receiving side it
+builds the later one — same key order, equal values — sharing every
+unchanged entry with its base.  The streaming pipeline
+(:mod:`repro.parallel.stream`) ships every epoch after the first this
+way.
+
+Segment images diff serialized state instead; nothing in the pipeline
+uses them any more, and they stay as the byte-level form the tests and
+the benchmark tracer pin:
 
 * :class:`CheckpointImage` captures a node's state as independently
   pickled, stably named **segments** (one per ``checkpoint_state()``
@@ -17,18 +33,8 @@ module makes checkpoints *diffable*:
   the changed segments.
 * :meth:`CheckpointDelta.apply` reassembles the successor image on the
   receiving side; the result is byte-identical to a fresh capture of the
-  same state, so a worker that got "inherited template, deltas after"
-  holds exactly what a worker that got the full re-ship would.
-
-The streaming pipeline (:mod:`repro.parallel.stream`) keeps every epoch
-as a :class:`Checkpoint` template, which a forked worker inherits copy-
-on-write with nothing serialized, and builds an image from it
-(:meth:`CheckpointImage.from_checkpoint`) only where bytes must cross a
-process boundary: a delta's base, or a full ship to a worker that never
-inherited the epoch.  A worker assembles the state once per *shipped*
-epoch and hands it to a classic :class:`Checkpoint`
-(:meth:`CheckpointImage.as_checkpoint`), whose clone-per-execution loop
-then forks it like any local checkpoint.
+  same state, so a receiver of a base image and deltas holds exactly
+  what a receiver of every full image would.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import hashlib
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.checkpoint.snapshot import Checkpoint, Checkpointable, default_segments
 from repro.concolic.env import Environment
@@ -225,27 +231,6 @@ class CheckpointImage:
             sequence=sequence,
         )
 
-    @classmethod
-    def from_checkpoint(
-        cls, checkpoint: Checkpoint, epoch: int = 0, node_id: str = ""
-    ) -> "CheckpointImage":
-        """The segments of a captured template.
-
-        A fork pickles to the bytes of its original, so this image is
-        byte-identical to a :meth:`capture` of the node at the moment the
-        template was taken, on whichever side of a process boundary it is
-        built.
-        """
-        return cls(
-            name=checkpoint.name,
-            node_type=checkpoint.node_type,
-            segments=state_segments(checkpoint.frozen_state()),
-            node_time=checkpoint.node_time,
-            epoch=epoch,
-            node=node_id,
-            sequence=checkpoint.sequence,
-        )
-
     @property
     def image_key(self) -> Tuple[str, int]:
         """The ``(node, epoch)`` identity workers index their tables by."""
@@ -395,5 +380,260 @@ class CheckpointDelta:
             node_time=self.node_time,
             epoch=self.epoch,
             node=self.node,
+            sequence=self.sequence,
+        )
+
+
+# -- key-level patches between fork templates ----------------------------------
+
+_MISSING = object()
+
+
+def _is_table(value: object) -> bool:
+    """Whether ``value`` is a table a patch diffs entry by entry."""
+    return callable(getattr(value, "delta_items", None)) and callable(
+        getattr(type(value), "from_delta_items", None)
+    )
+
+
+def _dumps_part(name: str, value: object) -> bytes:
+    try:
+        return pickle.dumps(value, _PROTOCOL)
+    except Exception as exc:
+        raise CheckpointError(
+            f"state component {name!r} is not picklable: {exc}"
+        ) from exc
+
+
+def pickled_components(state: Dict) -> Dict[str, bytes]:
+    """Each non-table component of a dict-shaped state, pickled on its
+    own: what a :class:`TemplatePatch` compares byte for byte, and ships
+    whole when the bytes differ."""
+    return {
+        name: _dumps_part(name, value)
+        for name, value in state.items() if not _is_table(value)
+    }
+
+
+def _order_tail(old: Dict, new: Dict) -> Tuple:
+    """The shortest suffix of ``new``'s key order that, re-inserted in
+    order, makes ``old`` patched in place iterate exactly like ``new``.
+
+    Patching in place keeps a surviving key at its old position and
+    appends an added one, so the two orders differ only where a key was
+    removed and added back (a withdraw-then-reannounce).  Every key that
+    the patched order cannot keep in ``new``'s order must move; the
+    earliest of them, by its position in ``new``, starts the tail.
+    """
+    patched = [key for key in old if key in new]
+    patched.extend(key for key in new if key not in old)
+    wanted = list(new)
+    if patched == wanted:
+        return ()
+    position = {key: index for index, key in enumerate(wanted)}
+    start, matched = len(wanted), 0
+    for key in patched:
+        if key == wanted[matched]:
+            matched += 1
+        else:
+            start = min(start, position[key])
+    return tuple(wanted[start:])
+
+
+def _diff_table(old: Dict, new: Dict) -> Tuple[Dict, Tuple, Tuple]:
+    """``(changed, removed, tail)`` taking ``old``'s items to ``new``'s.
+
+    A shared entry is unchanged by identity: templates forked from one
+    live node share every route neither side rewrote.
+    """
+    changed = {
+        key: value for key, value in new.items()
+        if old.get(key, _MISSING) is not value
+    }
+    removed = tuple(key for key in old if key not in new)
+    return changed, removed, _order_tail(old, new)
+
+
+def _patch_table(table: object, changed: Dict, removed: Iterable, tail: Iterable):
+    """``table`` with one :func:`_diff_table` result applied: a new table
+    sharing every entry the patch leaves alone."""
+    items = dict(table.delta_items())
+    for key in removed:
+        del items[key]
+    items.update(changed)
+    for key in tail:
+        items[key] = items.pop(key)
+    return type(table).from_delta_items(items)
+
+
+class TemplatePatch:
+    """What turns one fork template of a node into its next one, by key.
+
+    For node types with a dict-shaped ``checkpoint_state()``.  Built on
+    the coordinator by :meth:`between` from two
+    :class:`~repro.checkpoint.snapshot.Checkpoint` templates, pickled
+    once by :meth:`seal`, and applied on the receiving side to its copy
+    of the earlier template (:meth:`apply`).  Tables — state components
+    with ``delta_items()`` / ``from_delta_items()`` — travel as changed
+    entries, removed keys and an order tail; every other component
+    travels whole, and only when its pickle differs from the base's.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        node_type: type,
+        changes: Tuple[Tuple, Dict, Dict],
+        *,
+        node: str = "",
+        base_epoch: int = 0,
+        epoch: int = 0,
+        node_time: float = 0.0,
+        sequence: int = 0,
+        dirty: int = 0,
+        entries_total: int = 0,
+    ) -> None:
+        self.name = name
+        self.node_type = node_type
+        self.node = node
+        self.base_epoch = base_epoch
+        self.epoch = epoch
+        self.node_time = node_time
+        self.sequence = sequence
+        #: Changed + removed entries (or re-ordered ones) + changed
+        #: components: the churn measure, 0 for a quiet node.
+        self.dirty = dirty
+        #: Entries of every table plus non-table components of the
+        #: later template: what ``dirty`` is a share of.
+        self.entries_total = entries_total
+        #: ``(state keys, {table: (changed, removed, tail)},
+        #: {component: pickle})`` until sealed, then None on the far side.
+        self._changes: Optional[Tuple[Tuple, Dict, Dict]] = changes
+        self._payload: Optional[bytes] = None
+
+    @classmethod
+    def between(
+        cls,
+        base: Checkpoint,
+        new: Checkpoint,
+        *,
+        node: str = "",
+        base_epoch: int = 0,
+        epoch: int = 0,
+        base_pickled: Optional[Dict[str, bytes]] = None,
+        new_pickled: Optional[Dict[str, bytes]] = None,
+    ) -> "TemplatePatch":
+        """The patch taking ``base`` to ``new``.  ``*_pickled`` are the
+        templates' :func:`pickled_components`, when the caller keeps
+        them; nothing else is serialized here."""
+        if base.node_type is not new.node_type:
+            raise CheckpointError(
+                f"cannot patch a {base.node_type.__name__} template into "
+                f"a {new.node_type.__name__} one"
+            )
+        old_state, new_state = base.frozen_state(), new.frozen_state()
+        if base_pickled is None:
+            base_pickled = pickled_components(old_state)
+        if new_pickled is None:
+            new_pickled = pickled_components(new_state)
+        tables: Dict[str, Tuple[Dict, Tuple, Tuple]] = {}
+        components: Dict[str, bytes] = {}
+        dirty = total = 0
+        for name, value in new_state.items():
+            old = old_state.get(name, _MISSING)
+            if _is_table(value) and type(old) is type(value):
+                old_items, new_items = old.delta_items(), value.delta_items()
+                changed, removed, tail = _diff_table(old_items, new_items)
+                total += len(new_items)
+                if changed or removed or tail:
+                    tables[name] = (changed, removed, tail)
+                    dirty += len(changed) + len(removed)
+                    dirty += sum(1 for key in tail if key not in changed)
+                continue
+            total += 1
+            blob = new_pickled.get(name)
+            if blob is None:
+                blob = _dumps_part(name, value)
+            if base_pickled.get(name) != blob:
+                components[name] = blob
+                dirty += 1
+        dirty += sum(1 for name in old_state if name not in new_state)
+        return cls(
+            new.name,
+            new.node_type,
+            (tuple(new_state), tables, components),
+            node=node,
+            base_epoch=base_epoch,
+            epoch=epoch,
+            node_time=new.node_time,
+            sequence=new.sequence,
+            dirty=dirty,
+            entries_total=total,
+        )
+
+    @property
+    def base_key(self) -> Tuple[str, int]:
+        """The ``(node, epoch)`` identity of the template it patches."""
+        return (self.node, self.base_epoch)
+
+    @property
+    def entries_shipped(self) -> int:
+        """Changed entries and components the patch carries."""
+        _, tables, components = self._unsealed()
+        return len(components) + sum(
+            len(changed) for changed, _, _ in tables.values()
+        )
+
+    def seal(self) -> bytes:
+        """The patch's changes, pickled once: every receiver gets these
+        bytes, whichever carrier takes them there."""
+        if self._payload is None:
+            self._payload = _dumps_part(self.name, self._changes)
+        return self._payload
+
+    @property
+    def bytes_shipped(self) -> int:
+        """Payload bytes a ship of this patch costs."""
+        return len(self.seal())
+
+    def _unsealed(self) -> Tuple[Tuple, Dict, Dict]:
+        if self._changes is None:
+            self._changes = pickle.loads(self._payload)
+        return self._changes
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.update(_changes=None, _payload=self.seal())
+        return state
+
+    def apply(self, base: Checkpoint) -> Checkpoint:
+        """The later template, built from ``base`` — the receiver's copy
+        of the earlier one, which stays untouched."""
+        if base.node_type is not self.node_type:
+            raise CheckpointError(
+                f"patch for a {self.node_type.__name__} template applied "
+                f"to a {base.node_type.__name__} one"
+            )
+        keys, tables, components = self._unsealed()
+        parts = base.frozen_state()
+        state: Dict[str, object] = {}
+        try:
+            for name in keys:
+                if name in components:
+                    state[name] = pickle.loads(components[name])
+                elif name in tables:
+                    state[name] = _patch_table(parts[name], *tables[name])
+                else:
+                    state[name] = parts[name]
+        except Exception as exc:
+            raise CheckpointError(
+                f"patch {self.name!r} does not fit its base: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        return Checkpoint.from_state(
+            self.name,
+            self.node_type,
+            state,
+            node_time=self.node_time,
             sequence=self.sequence,
         )

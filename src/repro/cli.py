@@ -741,13 +741,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "smoke runs use a smaller value so short "
                               "bursts still trigger observable resizes")
     explore.add_argument("--epoch-churn", type=int, default=None,
-                         metavar="SEGMENTS",
+                         metavar="ENTRIES",
                          help="churn-driven epochs: a --stream-epochs "
                               "boundary re-checkpoints a node but ships a "
-                              "delta only when at least SEGMENTS table "
-                              "segments changed since its current image; "
-                              "quiet nodes keep their epoch (counted as "
-                              "epochs_skipped_quiet)")
+                              "patch only when at least ENTRIES table "
+                              "entries or state components changed since "
+                              "its current epoch; quiet nodes keep their "
+                              "epoch (counted as epochs_skipped_quiet)")
     explore.add_argument("--stream-epochs", type=int, default=1,
                          help="split each node's seed corpus into this "
                               "many re-checkpoint epochs (federated "

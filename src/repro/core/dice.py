@@ -368,7 +368,7 @@ class DiCE:
         return fresh
 
     def stream_epoch(self) -> Dict[str, object]:
-        """An epoch boundary: re-checkpoint (shipping the delta) + harvest.
+        """An epoch boundary: re-checkpoint (shipping the patch) + harvest.
 
         The streaming scheduler fires this instead of a batch fan-out;
         the returned dict combines the shipping economics with how many

@@ -689,8 +689,8 @@ class FederatedExploration:
 
         ``stream_epochs`` > 1 splits each AS's seed list into that many
         re-checkpoint epochs: every boundary captures each node again
-        and ships only the per-node delta (with ``epoch_churn``, only
-        for nodes that many dirty segments past their current image).
+        and ships only the per-node patch (with ``epoch_churn``, only
+        for nodes that many changed entries past their current epoch).
         Those two, a ``chaos`` plan and ``autoscale`` act on the shared
         streaming pool, so they require ``stream=True``.
 

@@ -7,8 +7,8 @@ in:
 
 * :class:`StreamingExplorer` (:mod:`repro.parallel.stream`) is the pool:
   persistent, supervised workers pull jobs continuously, fork holding
-  the checkpoint templates (epoch 0 ships nothing), receive only changed
-  segments on re-checkpoint, and
+  the checkpoint templates (epoch 0 ships nothing), receive only a
+  key-level patch of the changed entries on re-checkpoint, and
   findings harvest asynchronously — exploration overlaps live traffic
   instead of pausing for rounds;
 * :class:`ParallelExplorer` explores a *batch* of observed seeds — all

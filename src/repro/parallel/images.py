@@ -8,22 +8,21 @@ under ``fork`` it inherits them copy-on-write and its ledger starts with
 their keys; the in-process worker (and the salvage fallback) is handed
 the template object itself.  Epoch 0 therefore ships nothing.
 
-**Incremental shipping.**  A
-:class:`~repro.checkpoint.delta.CheckpointImage` — the template's
-pickled segments — is built lazily
-(:meth:`ImageStore.materialize`), only where bytes must cross a process
-boundary: a re-checkpoint diffs the node's current image against the
-candidate's and ships a
-:class:`~repro.checkpoint.delta.CheckpointDelta` carrying only the
-segments whose bytes changed (or nothing at all, when the caller finds
-:meth:`ImageStore.capture_next`'s dirty-segment count too quiet), and a
+**Later epochs travel as patches.**  Two successive templates of a node
+share every unchanged route by identity, so
+:meth:`ImageStore.capture_next` diffs them key by key
+(:class:`~repro.checkpoint.delta.TemplatePatch`) and pickles nothing;
+the churn it counts — changed, removed and re-ordered entries plus
+changed components — decides whether a churn-driven boundary ships at
+all.  :meth:`ImageStore.commit` pickles the patch's changes once, and
+every process worker builds the new template from the one it holds.
+Every resident epoch, on both sides of the pipe, is a template.  A
 process worker whose ledger lacks a key — a node added to a running
-pool — is shipped the full image.  A fork pickles to the bytes of its
-original, so a lazily built image is byte-identical to one captured
-from the live node at the fork moment, and every delta is too.
+pool — is shipped the template itself, which pickles to its state's
+bytes once.
 
 **Retention** is one rule for both sides of the pipe: an epoch stays
-while it is its node's *current* epoch (the next delta's base) or any
+while it is its node's *current* epoch (the next patch's base) or any
 live job record — queued or in flight — names it.  The coordinator
 keeps those so a lost job can be re-homed anywhere, and every ship tells
 the worker the same set (``keep``): a seed bound to epoch *e* at
@@ -40,7 +39,7 @@ import time
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bgp.router import BgpRouter
-from repro.checkpoint.delta import CheckpointDelta, CheckpointImage
+from repro.checkpoint.delta import TemplatePatch, pickled_components
 from repro.checkpoint.snapshot import Checkpoint
 from repro.parallel.jobs import ImageKey, JobTable, StreamJob, display_node
 from repro.parallel.reports import StreamReport
@@ -48,20 +47,28 @@ from repro.parallel.transport import MSG_JOB, _WorkerHandle
 
 
 class NodeEpoch:
-    """One retained ``(node, epoch)``: its fork template, and the
-    segment image built from it once something needed the bytes."""
+    """One retained ``(node, epoch)``: its fork template, and the pickles
+    of its non-table components once a patch compared against them."""
 
-    __slots__ = ("node", "epoch", "template", "image")
+    __slots__ = ("node", "epoch", "template", "_pickled")
 
     def __init__(self, node: str, epoch: int, template: Checkpoint) -> None:
         self.node = node
         self.epoch = epoch
         self.template = template
-        self.image: Optional[CheckpointImage] = None
+        self._pickled: Optional[Dict[str, bytes]] = None
 
     @property
     def image_key(self) -> ImageKey:
         return (self.node, self.epoch)
+
+    @property
+    def pickled(self) -> Dict[str, bytes]:
+        """The template's :func:`~repro.checkpoint.delta.pickled_components`,
+        serialized once for the patches on either side of this epoch."""
+        if self._pickled is None:
+            self._pickled = pickled_components(self.template.frozen_state())
+        return self._pickled
 
 
 class ImageStore:
@@ -71,7 +78,7 @@ class ImageStore:
         self._report = report
         self._jobs = jobs
         self.routers: Dict[str, BgpRouter] = {}
-        #: Each node's latest epoch — the delta base for the next one.
+        #: Each node's latest epoch — the patch base for the next one.
         self.current: Dict[str, NodeEpoch] = {}
         self.retained: Dict[ImageKey, NodeEpoch] = {}
 
@@ -83,29 +90,10 @@ class ImageStore:
             node, epoch, Checkpoint.capture(self.routers[node], label)
         )
 
-    def materialize(self, entry: NodeEpoch) -> CheckpointImage:
-        """``entry``'s segment image, built from its template on first use."""
-        if entry.image is None:
-            entry.image = CheckpointImage.from_checkpoint(
-                entry.template, entry.epoch, entry.node
-            )
-            self._report.images_materialized += 1
-            self._account_full()
-        return entry.image
-
-    def _account_full(self) -> None:
-        """What a full re-ship of every node's current image costs,
-        counting only the images that exist (see the report field)."""
-        self._report.full_checkpoint_bytes = sum(
-            entry.image.total_bytes
-            for entry in self.current.values() if entry.image is not None
-        )
-
     def _install(self, entry: NodeEpoch) -> None:
         previous = self.current.get(entry.node)
         self.current[entry.node] = entry
         self.retained[entry.image_key] = entry
-        self._account_full()
         if previous is not None:
             self.release(previous.image_key)
 
@@ -116,25 +104,27 @@ class ImageStore:
         self._install(self._capture(node, 0))
         self._report.checkpoint_seconds += time.perf_counter() - started
 
-    def capture_next(self, node: str) -> Tuple[NodeEpoch, int]:
-        """A candidate next epoch, materialized, and its dirty-segment
-        count against the node's current image."""
+    def capture_next(self, node: str) -> Tuple[NodeEpoch, TemplatePatch]:
+        """A candidate next epoch and the patch from the node's current
+        one; the patch's ``dirty`` is the churn between them."""
         started = time.perf_counter()
-        entry = self._capture(node, self.current[node].epoch + 1)
-        dirty = self.materialize(entry).dirty_segments_since(
-            self.materialize(self.current[node])
+        base = self.current[node]
+        entry = self._capture(node, base.epoch + 1)
+        patch = TemplatePatch.between(
+            base.template, entry.template,
+            node=node, base_epoch=base.epoch, epoch=entry.epoch,
+            base_pickled=base.pickled, new_pickled=entry.pickled,
         )
         self._report.checkpoint_seconds += time.perf_counter() - started
-        return entry, dirty
+        return entry, patch
 
-    def commit(self, entry: NodeEpoch) -> CheckpointDelta:
-        """Make a captured epoch its node's current one; the delta that
-        takes a worker holding the previous epoch there."""
-        delta = self.materialize(entry).diff(
-            self.materialize(self.current[entry.node])
-        )
+    def commit(self, entry: NodeEpoch, patch: TemplatePatch) -> None:
+        """Make a captured epoch its node's current one, its patch
+        pickled once for every worker that takes it."""
+        started = time.perf_counter()
+        patch.seal()
         self._install(entry)
-        return delta
+        self._report.checkpoint_seconds += time.perf_counter() - started
 
     def release(self, key: ImageKey) -> None:
         """A claim on ``key`` ended (or its epoch was superseded): drop
@@ -156,27 +146,23 @@ class ImageStore:
         self,
         worker: _WorkerHandle,
         entry: NodeEpoch,
-        delta: Optional[CheckpointDelta] = None,
+        patch: Optional[TemplatePatch] = None,
     ) -> None:
         """Make ``entry`` resident behind ``worker`` by the cheapest
-        carrier it takes — the template itself in process, else
-        ``delta`` (every dispatchable worker holds its node's current
-        epoch, the delta's base), else the full image — and account for
-        it."""
+        carrier it takes — the template by reference in process, else
+        ``patch`` (every dispatchable worker holds its node's current
+        epoch, the patch's base), else the template's state bytes — and
+        account for it."""
         if worker.in_process:
             worker.ship(entry.image_key, entry.template, self.keep(entry.node))
             self._report.images_inherited += 1
             return
-        if delta is not None:
-            payload, size, segments = (
-                delta, delta.bytes_shipped, delta.segments_shipped
-            )
+        if patch is not None:
+            payload, size = patch, patch.bytes_shipped
         else:
-            payload = self.materialize(entry)
-            size, segments = payload.total_bytes, len(payload.segments)
+            payload, size = entry.template, entry.template.size_bytes
         worker.ship(entry.image_key, payload, self.keep(entry.node))
         self._report.checkpoint_bytes_shipped += size
-        self._report.checkpoint_segments_shipped += segments
 
     def prime(self, worker: _WorkerHandle, nodes: List[str]) -> None:
         """Make the current epoch of ``nodes`` resident behind ``worker``."""

@@ -165,22 +165,12 @@ class StreamReport(BatchReport):
     #: never fills — one term of the module docstring's exactly-once sum.
     jobs_dropped: int = 0
     checkpoint_bytes_shipped: int = 0
-    checkpoint_segments_shipped: int = 0
-    #: What a full re-ship of every node's current image costs, summed
-    #: over the images that exist.  An epoch is a fork template until
-    #: something needs its bytes, so this is 0 while no node's current
-    #: epoch has been materialized — a stream still on epoch 0 with no
-    #: tenant added to the running pool.
-    full_checkpoint_bytes: int = 0
     #: Epochs workers came to hold with nothing serialized: templates a
     #: worker was built with (a forked one inherits them) or handed by
     #: reference in process.
     images_inherited: int = 0
-    #: Segment images built from templates on the coordinator: delta
-    #: bases, epoch candidates, and full ships to workers that lacked one.
-    images_materialized: int = 0
-    #: Epoch boundaries crossed per federation node: how many deltas have
-    #: been shipped against each node's image chain.
+    #: Epoch boundaries crossed per federation node: how many patches
+    #: have been committed against each node's template chain.
     deltas_by_node: Dict[str, int] = field(default_factory=dict)
     #: Dead workers respawned at their slot by the supervisor.
     workers_restarted: int = 0
@@ -245,8 +235,8 @@ class StreamReport(BatchReport):
         """Average checkpoint transport cost per completed job.
 
         Shipping the checkpoint inside every job would cost the full
-        pickle each time, so this is the number to hold against
-        ``full_checkpoint_bytes`` when judging image shipping.
+        pickle each time, so this is the number to hold against a
+        checkpoint's ``size_bytes`` when judging image shipping.
         """
         if not self.reports:
             return float(self.checkpoint_bytes_shipped)
@@ -303,9 +293,7 @@ class StreamReport(BatchReport):
                 "errors": len(self.errors),
                 "checkpoint_bytes_shipped": self.checkpoint_bytes_shipped,
                 "checkpoint_bytes_per_job": round(self.checkpoint_bytes_per_job),
-                "full_checkpoint_bytes": self.full_checkpoint_bytes,
                 "images_inherited": self.images_inherited,
-                "images_materialized": self.images_materialized,
                 "deltas_by_node": dict(self.deltas_by_node),
                 "pool_size": self.pool_size,
                 "pool_high_water": self.pool_high_water,

@@ -93,7 +93,7 @@ class StreamingExplorer:
         explorer.start(live_router)            # epoch 0: workers fork holding it
         explorer.submit(peer, update)          # as traffic is observed
         explorer.poll()                        # non-blocking harvest
-        explorer.advance_epoch()               # re-checkpoint: ships the delta
+        explorer.advance_epoch()               # re-checkpoint: ships the patch
         report = explorer.close()              # drain, stop workers, final report
 
     or, bound to a DiCE facade, ``with dice.stream(workers=4): ...`` —
@@ -105,10 +105,10 @@ class StreamingExplorer:
         explorer = StreamingExplorer(workers=4)
         explorer.start_nodes({"as0": r0, "as1": r1, ...})
         explorer.submit(peer, update, node="as1")
-        explorer.advance_epoch(node="as1")     # per-node delta base
+        explorer.advance_epoch(node="as1")     # per-node patch base
         report = explorer.close()
 
-    Every worker holds a ``{(node, epoch): image}`` table, so the
+    Every worker holds a ``{(node, epoch): template}`` table, so the
     federation costs one pool of ``workers`` processes total; dispatch
     rotates across ASes by recent finding yield (``as_rotation``).
 
@@ -277,9 +277,9 @@ class StreamingExplorer:
 
         Captures the new tenant's epoch-0 templates and makes them
         resident on every dispatchable worker — a running process can
-        inherit nothing more, so it is shipped each node's full image —
-        so the new tenant's jobs can dispatch anywhere the existing
-        tenants' can.  Keys, images, scheduler
+        inherit nothing more, so it is shipped each node's template as
+        its state's bytes — so the new tenant's jobs can dispatch
+        anywhere the existing tenants' can.  Keys, templates, scheduler
         state, and the constraint cache are all tenant-scoped — the
         federations share capacity, nothing else.
         """
@@ -305,7 +305,7 @@ class StreamingExplorer:
 
         Starts the pool on the first tenant's routers, admits the rest,
         and feeds each node's seeds in ``epochs`` chunks — every
-        boundary re-checkpoints each node and ships its delta (or, with
+        boundary re-checkpoints each node and ships its patch (or, with
         ``churn_threshold``, only for nodes churned past it; quiet nodes
         keep their epoch) — then closes.  This is what a multi-process
         batch, a streamed federated exploration and a multi-tenant
@@ -862,45 +862,48 @@ class StreamingExplorer:
     ) -> Dict[str, object]:
         """Epoch boundary for one node: re-checkpoint, ship only the diff.
 
-        Every dispatchable process worker gets the node-tagged delta
-        (its resident image for that node — or the image it builds from
-        the template it inherited — plus the changed segments reassemble
-        the new epoch byte-identically), an in-process worker the new
-        template itself; seeds for this node
+        The fresh template is diffed against the node's current one key
+        by key (:class:`~repro.checkpoint.delta.TemplatePatch`): every
+        dispatchable process worker gets the patch, pickled once, and
+        builds the new template from the one it holds; an in-process
+        worker gets the new template itself.  Seeds for this node
         *submitted* from here on are bound to the new epoch, seeds
         already queued keep the one they were born with.  Other nodes'
-        images and epochs are untouched — per-node delta bases are the
-        whole point of the ``(node, epoch)`` keying.  Returns the
-        shipping economics for logging/benchmarks.
+        templates and epochs are untouched — per-node patch bases are
+        the whole point of the ``(node, epoch)`` keying.  Returns the
+        shipping economics for logging/benchmarks: ``dirty_segments`` is
+        the patch's churn in entries (changed, removed or re-ordered
+        table entries plus changed components), ``segments_shipped`` the
+        entries and components it carries out of ``segments_total``, and
+        ``bytes_shipped`` its pickled size.
 
-        ``churn_threshold`` makes the advance *churn-driven*: the fresh
-        capture's dirty-segment count against the node's current image
-        is measured first, and below the threshold nothing ships — the
-        epoch stands, the capture is discarded, and the skip is counted
-        (``epochs_skipped_quiet``).  Because the base image is unchanged,
-        churn accumulates across skipped boundaries: a node quiet for
-        five boundaries then suddenly busy ships one delta carrying all
-        five boundaries' worth of change.
+        ``churn_threshold`` makes the advance *churn-driven*: below the
+        threshold nothing ships — the epoch stands, the capture is
+        discarded, and the skip is counted (``epochs_skipped_quiet``).
+        Because the base template is unchanged, churn accumulates across
+        skipped boundaries: a node quiet for five boundaries then
+        suddenly busy ships one patch carrying all five boundaries'
+        worth of change.
         """
         self._require_open()
         node = self._registered(scoped_node(tenant, node), "advance_epoch for")
-        candidate, dirty = self._images.capture_next(node)
+        candidate, patch = self._images.capture_next(node)
         info: Dict[str, object] = {
             "node": plain_node(node),
             "tenant": tenant,
             "epoch": self._images.current[node].epoch,
             "skipped": True,
-            "dirty_segments": dirty,
+            "dirty_segments": patch.dirty,
             "segments_shipped": 0,
             "bytes_shipped": 0,
         }
-        if churn_threshold is not None and dirty < churn_threshold:
+        if churn_threshold is not None and patch.dirty < churn_threshold:
             self.report.epochs_skipped_quiet += 1
             info["churn_threshold"] = churn_threshold
             return info
-        delta = self._images.commit(candidate)
+        self._images.commit(candidate, patch)
         for worker in self._pool.dispatchable():
-            self._images.ship(worker, candidate, delta)
+            self._images.ship(worker, candidate, patch)
         self.report.epochs += 1
         display = display_node(node)
         self.report.deltas_by_node[display] = (
@@ -909,10 +912,9 @@ class StreamingExplorer:
         info.update(
             epoch=candidate.epoch,
             skipped=False,
-            segments_shipped=delta.segments_shipped,
-            segments_total=len(candidate.image.segments),
-            bytes_shipped=delta.bytes_shipped,
-            bytes_full=candidate.image.total_bytes,
+            segments_shipped=patch.entries_shipped,
+            segments_total=patch.entries_total,
+            bytes_shipped=patch.bytes_shipped,
         )
         return info
 

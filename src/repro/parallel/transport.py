@@ -18,19 +18,20 @@ copy-on-write and nothing is serialized.  From then on its only inputs
 are messages.
 
 The protocol is node-aware: every job names its federation node and a
-worker holds a ``{(node, epoch): image}`` table, so *one* pool serves
+worker holds a ``{(node, epoch): template}`` table, so *one* pool serves
 every AS of every tenant (a job's tenant scopes the worker's view
 of the shared constraint cache).
 
 **One image ledger.**  ``handle.images`` is what the coordinator knows
 to be resident behind a handle: it starts as the keys of the templates
 the worker was built with.  An epoch message makes one more resident,
-carrying a full image, a delta against a resident base, or — in process
-only — the template itself.  Which epochs survive is decided by the
-coordinator alone: every epoch message carries ``keep``, and both sides
-apply :func:`_superseded` to the same arguments in the same (FIFO)
-order, templates and images alike, so the ledger cannot drift from the
-worker's tables.
+carrying a :class:`~repro.checkpoint.delta.TemplatePatch` against a
+resident template — the worker builds the new template from it — or a
+template itself: by reference in process, as its state's bytes to a
+process.  Which epochs survive is decided by the coordinator alone:
+every epoch message carries ``keep``, and both sides apply
+:func:`_superseded` to the same arguments in the same (FIFO) order, so
+the ledger cannot drift from the worker's table.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.checkpoint.delta import CheckpointDelta, CheckpointImage
+from repro.checkpoint.delta import TemplatePatch
 from repro.checkpoint.snapshot import Checkpoint
 from repro.core.report import SessionReport
 from repro.parallel.cache import TenantCacheView
@@ -60,7 +61,7 @@ RES_REPORT = "report"
 RES_ERROR = "error"
 
 #: Sentinel job key for errors not attributable to a single job
-#: (e.g. a delta arriving before its base image).
+#: (e.g. a patch arriving before its base template).
 NO_JOB = ("", -1)
 
 
@@ -76,10 +77,10 @@ def _superseded(
 
 
 class _WorkerState:
-    """Per-``(node, epoch)`` checkpoints and images, job execution.
+    """Per-``(node, epoch)`` checkpoint templates, job execution.
 
     Shared by the process worker loop and the in-process worker so the
-    two transports cannot drift.  Both tables are keyed by
+    two transports cannot drift.  The table is keyed by
     ``(node, epoch)`` — one worker holds every federation member's chain
     side by side, and dropping is strictly per node: advancing one AS's
     epoch never touches another AS's resident epoch.
@@ -95,10 +96,8 @@ class _WorkerState:
         #: The configuration of every session this worker runs, fixed
         #: when the worker is built.
         self.engine = engine
-        #: Segment images of shipped epochs (a delta's base, or its result).
-        self.images: Dict[ImageKey, CheckpointImage] = {}
         #: What sessions restore from: the templates the worker was built
-        #: with or handed, and one assembled per shipped image.
+        #: with or handed, and one built per patch it applied.
         self.checkpoints: Dict[ImageKey, Checkpoint] = dict(templates or {})
         #: Tenant-scoped cache views, built once per tenant per worker.
         self._tenant_caches: Dict[str, TenantCacheView] = {}
@@ -139,47 +138,25 @@ class _WorkerState:
         return None
 
     def _apply_epoch(self, key: ImageKey, payload, keep: FrozenSet[int]) -> None:
-        if isinstance(payload, Checkpoint):
-            self.checkpoints[key] = payload
-        elif isinstance(payload, CheckpointDelta):
-            self.images[key] = payload.apply(self._base(payload))
-        else:
-            self.images[key] = payload
-        resident = set(self.images) | set(self.checkpoints)
-        for old in _superseded(resident, key, keep):
-            self.images.pop(old, None)
-            self.checkpoints.pop(old, None)
-
-    def _base(self, delta: CheckpointDelta) -> CheckpointImage:
-        """The image ``delta`` patches: shipped earlier, or built here from
-        the template the worker inherited — the same bytes either way."""
-        base = self.images.get(delta.base_key)
-        if base is not None:
-            return base
-        template = self.checkpoints.get(delta.base_key)
-        if template is None:
-            raise CheckpointError(
-                f"delta for node {delta.node!r} epoch {delta.epoch} "
-                f"arrived before its base image (epoch {delta.base_epoch})"
-            )
-        return CheckpointImage.from_checkpoint(
-            template, delta.base_epoch, delta.node
-        )
+        if isinstance(payload, TemplatePatch):
+            base = self.checkpoints.get(payload.base_key)
+            if base is None:
+                raise CheckpointError(
+                    f"patch for node {payload.node!r} epoch {payload.epoch} "
+                    f"arrived before its base (epoch {payload.base_epoch})"
+                )
+            payload = payload.apply(base)
+        self.checkpoints[key] = payload
+        for old in _superseded(self.checkpoints, key, keep):
+            del self.checkpoints[old]
 
     def _run(self, job: StreamJob) -> SessionReport:
         checkpoint = self.checkpoints.get(job.image_key)
         if checkpoint is None:
-            image = self.images.get(job.image_key)
-            if image is None:
-                raise CheckpointError(
-                    f"job {job.index} references node {job.node!r} epoch "
-                    f"{job.epoch}, but no image for it is resident"
-                )
-            # Assembled once per (node, epoch) per worker: the clone-per-
-            # execution loop forks the checkpoint's resident template, so
-            # no segment is unpickled again after this.
-            checkpoint = image.as_checkpoint()
-            self.checkpoints[job.image_key] = checkpoint
+            raise CheckpointError(
+                f"job {job.index} references node {job.node!r} epoch "
+                f"{job.epoch}, but no image for it is resident"
+            )
         cache = self._cache_for(tenant_of(job.node))
         return run_session_job(SessionJob(
             job.index, checkpoint, job.peer, job.observed, self.engine, cache,

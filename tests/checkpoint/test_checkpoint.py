@@ -259,8 +259,8 @@ def test_sessions_pickles_and_pool_images_never_page_the_router(monkeypatch):
 
     images = ImageStore(StreamReport(), JobTable())
     images.register("", router)
-    image, _ = images.capture_next("")
-    images.commit(image)
+    image, patch = images.capture_next("")
+    images.commit(image, patch)
 
 
 # Computed with the page accounting as it stood before the page image

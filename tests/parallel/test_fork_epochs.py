@@ -1,11 +1,13 @@
 """Epochs travel by fork: workers inherit checkpoint templates.
 
 A worker is built holding every retained template, so epoch 0 ships
-nothing; segment images are built only where bytes must cross a process
-boundary.  Every stream here is checked against the serial engine's
+nothing; later epochs travel as key-level patches between templates,
+and a node added to a running pool as its template's state bytes.
+Every stream here is checked against the serial engine's
 ``finding_keys()``.
 """
 
+import pickle
 import time
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.nlri import NlriEntry
-from repro.checkpoint.delta import CheckpointImage
+from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic.engine import ExplorationBudget
 from repro.parallel import ParallelExplorer, StreamingExplorer
 from repro.parallel.chaos import ChaosEvent, ChaosPlan
@@ -77,32 +79,48 @@ def test_two_worker_stream_ships_no_epoch_zero_bytes(erroneous_scenario):
     summary = report.summary()
     assert summary["checkpoint_bytes_shipped"] == 0
     assert summary["images_inherited"] == 2
-    assert summary["images_materialized"] == 0
-    # No image was ever built, so a full re-ship has nothing to price.
-    assert summary["full_checkpoint_bytes"] == 0
+    # Nothing on the coordinator was ever serialized.
+    assert stream._images.current[""].template._state_bytes is None
     assert finding_keys(report) == serial_keys(router, seeds)
 
 
+def assert_same_template(built, captured):
+    """Two templates of one node state: every table iterates in the same
+    key order over equal values, every other component pickles to the
+    same bytes."""
+    ours, theirs = built.frozen_state(), captured.frozen_state()
+    assert list(ours) == list(theirs)
+    for name, value in theirs.items():
+        if hasattr(value, "delta_items"):
+            assert list(ours[name].delta_items().items()) == list(
+                value.delta_items().items()
+            ), name
+        else:
+            assert pickle.dumps(ours[name]) == pickle.dumps(value), name
+
+
 def test_delta_on_inherited_template_equals_fresh_capture(mutable_scenario):
-    """A worker holding only the template it inherited builds the delta's
-    base itself; the epoch it assembles is the coordinator's, byte for
-    byte, and explores to the serial engine's findings."""
+    """A worker holding only the template it inherited builds the next
+    epoch from it and the pickled patch; the template it builds is the
+    coordinator's, and explores to the serial engine's findings."""
     router = mutable_scenario.provider
     store = ImageStore(StreamReport(), JobTable())
     store.register("", router)
     state = _WorkerState(None, EngineOptions(budget=BUDGET), store.templates())
-    assert not state.images
 
     router.handle_update("customer", seed_update("96.1.0.0/16"))
-    candidate, dirty = store.capture_next("")
-    assert dirty > 0
-    delta = store.commit(candidate)
-    assert state.handle((MSG_EPOCH, ("", 1), delta, frozenset({1}))) is None
+    candidate, patch = store.capture_next("")
+    assert patch.dirty > 0
+    store.commit(candidate, patch)
+    shipped = pickle.loads(pickle.dumps(patch))
+    assert state.handle((MSG_EPOCH, ("", 1), shipped, frozenset({1}))) is None
 
-    fresh = CheckpointImage.capture(router, "fresh", epoch=1)
-    assert state.images[("", 1)].segments == fresh.segments
-    # The superseded epoch-0 template went with the delta's ``keep``.
-    assert set(state.checkpoints) | set(state.images) == {("", 1)}
+    assert_same_template(state.checkpoints[("", 1)], candidate.template)
+    assert_same_template(
+        state.checkpoints[("", 1)], Checkpoint.capture(router, "fresh")
+    )
+    # The superseded epoch-0 template went with the patch's ``keep``.
+    assert set(state.checkpoints) == {("", 1)}
 
     peer, observed = "customer", seed_update("96.1.4.0/24")
     kind, _, session = state.handle(
@@ -183,17 +201,15 @@ def test_add_tenant_on_running_pool_ships_materialized_images(
     erroneous_scenario,
 ):
     """A running process cannot inherit a template: the new tenant's
-    image is built once and shipped in full to every worker."""
+    template pickles to its state bytes once and ships to every worker."""
     router = erroneous_scenario.provider
     seeds = erroneous_scenario.dice.batch_seeds(all_seeds=True)[:3]
     stream = StreamingExplorer(workers=2, budget=BUDGET, queue_capacity=16)
     stream.start_nodes({"prov": router}, tenant="a")
     require_processes(stream)
     stream.add_tenant("b", {"prov": router})
-    full = CheckpointImage.capture(router, "b").total_bytes
-    assert stream.report.images_materialized == 1
+    full = Checkpoint.capture(router, "b").size_bytes
     assert stream.report.checkpoint_bytes_shipped == 2 * full
-    assert stream.report.full_checkpoint_bytes == full
     keys = {(scoped_node(t, "prov"), 0) for t in ("a", "b")}
     assert [w.images for w in stream._pool.workers] == [keys] * 2
     for tenant in ("a", "b"):
@@ -208,8 +224,8 @@ def test_add_tenant_on_running_pool_ships_materialized_images(
 
 @pytest.mark.parametrize("force_serial", [False, True])
 def test_no_superseded_template_outlives_close(mutable_scenario, force_serial):
-    """Both sides of the ledger drop a superseded epoch — template or
-    image — with the ship that supersedes it."""
+    """Both sides of the ledger drop a superseded epoch with the ship
+    that supersedes it."""
     router = mutable_scenario.provider
     early = mutable_scenario.dice.batch_seeds(all_seeds=True)[:2]
     probe = ("customer", seed_update("96.2.4.0/24"))
@@ -240,4 +256,4 @@ def test_no_superseded_template_outlives_close(mutable_scenario, force_serial):
         assert worker.images == {("", 2)}
         if force_serial:
             state = worker._state
-            assert set(state.checkpoints) | set(state.images) == {("", 2)}
+            assert set(state.checkpoints) == {("", 2)}

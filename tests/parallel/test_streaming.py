@@ -157,7 +157,8 @@ class TestEpochShipping:
         scenario.provider.handle_update("customer", seed_update("99.1.0.0/16"))
         info = stream.advance_epoch()
         assert info["epoch"] == 1
-        assert 0 < info["bytes_shipped"] < info["bytes_full"]
+        full = Checkpoint.capture(scenario.provider, "full").size_bytes
+        assert 0 < info["bytes_shipped"] < full
         assert info["segments_shipped"] < info["segments_total"]
         # Jobs after the boundary explore the *new* state.
         stream.submit("customer", seed_update("99.1.0.0/16"))
@@ -257,9 +258,9 @@ class TestEpochBoundAtSubmit:
             frozenset(f.dedup_key() for f in r.findings)
             for r in baseline.reports_in_index_order()
         ]
-        # Resident where it was bound: only epoch 0 (full) and the one
-        # delta were ever shipped, whatever max_inflight was.
-        assert report.checkpoint_bytes_shipped < 2 * report.full_checkpoint_bytes
+        # Resident where it was bound, whatever max_inflight was: an
+        # in-process pool takes every template by reference.
+        assert report.checkpoint_bytes_shipped == 0
 
 
 class TestStreamReport:
@@ -463,7 +464,8 @@ class TestFederatedStreamPool:
         info = stream.advance_epoch(node="prov")
         assert info["node"] == "prov"
         assert info["epoch"] == 1
-        assert 0 < info["bytes_shipped"] < info["bytes_full"]
+        full = Checkpoint.capture(scenario.provider, "full").size_bytes
+        assert 0 < info["bytes_shipped"] < full
         # The customer node never advanced: no delta recorded for it,
         # and its epoch-0 image still serves new jobs.
         assert stream.report.deltas_by_node == {"prov": 1}
