@@ -192,12 +192,10 @@ def assemble_state(segments: Dict[str, bytes]) -> object:
 class CheckpointImage:
     """A captured node state in segment form, ready for delta shipping.
 
-    ``epoch`` is the streaming pipeline's re-checkpoint counter and
-    ``node`` names which federation member the image belongs to (empty
-    for a single-node stream): workers key their resident images by the
-    ``(node, epoch)`` pair, and a :class:`CheckpointDelta` names the
-    base epoch it patches *of the same node* — one shared worker pool
-    holds every AS's image chain side by side without cross-talk.
+    ``epoch`` is a re-checkpoint counter and ``node`` names which
+    federation member the image belongs to (empty for a single node):
+    a :class:`CheckpointDelta` names the base epoch it patches *of the
+    same node*, and refuses any other node's image.
     """
 
     name: str
@@ -230,11 +228,6 @@ class CheckpointImage:
             node=node_id,
             sequence=sequence,
         )
-
-    @property
-    def image_key(self) -> Tuple[str, int]:
-        """The ``(node, epoch)`` identity workers index their tables by."""
-        return (self.node, self.epoch)
 
     @property
     def total_bytes(self) -> int:
@@ -290,17 +283,6 @@ class CheckpointImage:
         removed = tuple(sorted(set(theirs) - set(self.segments)))
         return changed, removed
 
-    def dirty_segments_since(self, base: "CheckpointImage") -> int:
-        """How many segments changed (or vanished) since ``base``.
-
-        The churn probe behind churn-driven epochs: the streaming
-        coordinator captures a candidate image and asks this *before*
-        building a delta — below the churn threshold the capture is
-        discarded, nothing ships, and the node's epoch stands.
-        """
-        changed, removed = self._changes_since(base)
-        return len(changed) + len(removed)
-
     def diff(self, base: "CheckpointImage") -> "CheckpointDelta":
         """The delta that turns ``base`` into this image."""
         changed, removed = self._changes_since(base)
@@ -334,16 +316,6 @@ class CheckpointDelta:
     base_segment_count: int = 0
 
     @property
-    def image_key(self) -> Tuple[str, int]:
-        """The ``(node, epoch)`` identity of the image this delta builds."""
-        return (self.node, self.epoch)
-
-    @property
-    def base_key(self) -> Tuple[str, int]:
-        """The ``(node, epoch)`` identity of the required base image."""
-        return (self.node, self.base_epoch)
-
-    @property
     def bytes_shipped(self) -> int:
         """Payload bytes this delta ships (changed segment blobs)."""
         return sum(len(blob) for blob in self.changed.values())
@@ -351,11 +323,6 @@ class CheckpointDelta:
     @property
     def segments_shipped(self) -> int:
         return len(self.changed)
-
-    @property
-    def dirty_segments(self) -> int:
-        """Changed plus removed segments — the delta's churn measure."""
-        return len(self.changed) + len(self.removed)
 
     def apply(self, base: CheckpointImage) -> CheckpointImage:
         """Reassemble the successor image from ``base`` plus this delta."""
