@@ -17,8 +17,9 @@ The exploration loop's solver-facing costs, measured head-to-head:
   ``narrow`` steps.  Acceptance: >=2x propagate-stage reduction vs the
   per-branch unmemoized sweep, plus a solves/s regression gate;
 * **stream-vs-batch findings/s** — the coverage-guided streaming
-  pipeline must find the same faults as the in-process serial loop over
-  the same seeds (both rates are reported);
+  pipeline must find the same faults as the serial reference loop
+  (``tests/parallel/reference.py``) over the same seeds (both rates are
+  reported);
 * **checkpoint captures/s and restores/s** — a checkpoint of the
   2000-prefix fig2 router is a fork (per-table dict copies sharing the
   routes), three orders of magnitude above what a pickle round trip of
@@ -57,7 +58,8 @@ from repro.concolic.solver.intervals import propagate_memo_disabled
 from repro.concolic.tracer import BranchSite
 from repro.core import get_scenario
 from repro.core.isolation import restore_isolated
-from repro.parallel import ParallelExplorer, StreamingExplorer
+from repro.parallel import StreamingExplorer
+from tests.parallel.reference import serial_batch
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -335,9 +337,7 @@ def test_stream_vs_batch_findings_rate(benchmark, paper_rows):
     seeds = scenario.dice.batch_seeds(all_seeds=True)[: (6 if SMOKE else 16)]
     budget = ExplorationBudget(max_executions=6 if SMOKE else 24)
 
-    batch = ParallelExplorer(force_serial=True).explore_batch(
-        scenario.provider, seeds, budget=budget
-    )
+    batch = serial_batch(scenario.provider, seeds, budget=budget)
     batch_rate = (
         len(batch.findings()) / batch.wall_seconds if batch.wall_seconds else 0.0
     )

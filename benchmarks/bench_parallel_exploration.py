@@ -5,8 +5,9 @@ spare cores (sections 3.2, 4.1) and notes the engine "can execute
 multiple explorations in parallel"; the sequential prototype explored
 one seed per round in-process.  This benchmark runs a full
 checkpoint-clone-explore batch over the Figure 2 scenario's observed
-seed buffers on two pool workers and holds it against the in-process
-serial loop — the reference: the finding set must be identical, and the
+seed buffers on two pool workers and holds it against the serial
+reference loop (``tests/parallel/reference.py``, every session run in
+turn in process): the finding set must be identical, and the
 two throughputs are reported side by side (no speedup is asserted: the
 pool only pays off with spare cores and a budget that amortizes its
 start-up).
@@ -21,7 +22,7 @@ import pytest
 
 from repro.concolic import ExplorationBudget
 from repro.core import get_scenario
-from repro.parallel import ParallelExplorer
+from tests.parallel.reference import batch as explore_batch, serial_batch
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 CPUS = os.cpu_count() or 1
@@ -39,11 +40,10 @@ def test_parallel_session_batch_end_to_end(benchmark, paper_rows):
     seeds = scenario.dice.batch_seeds(all_seeds=True)
     budget = ExplorationBudget(max_executions=8 if SMOKE else 16)
 
-    def run(force_serial=False):
-        explorer = ParallelExplorer(workers=2, force_serial=force_serial)
-        return explorer.explore_batch(scenario.provider, seeds, budget=budget)
+    def run():
+        return explore_batch(scenario.provider, seeds, budget=budget, workers=2)
 
-    serial = run(force_serial=True)
+    serial = serial_batch(scenario.provider, seeds, budget=budget)
     batch = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(batch.reports) == len(seeds)
     assert batch.leaked_prefixes(), "erroneous filter produced no leak findings"

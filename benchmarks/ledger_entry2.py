@@ -10,7 +10,10 @@ this script only runs against the **parent** commit's sources:
 Each group runs ten alternating pairs (which side goes first flips per
 pair), checks the two sides' finding keys agree, and prints one JSON
 line with every run.  The root README's "Perf ledger, entry 2" is this
-script's output on a 2-core box.
+script's output on a 2-core box.  Its ``batch_vs_stream_single`` and
+``serial_vs_inline_stream`` rows came from two groups since retired:
+once a batch became a finite stream, each compared one code path with
+itself.
 """
 
 import json
@@ -21,9 +24,7 @@ import time
 from repro.concolic import ExplorationBudget
 from repro.core import get_scenario
 from repro.core.scenario import synthesize_hijack_corpus
-from repro.parallel import ParallelExplorer, StreamingExplorer
-from repro.topology import generators
-from repro.topology.graph import build_routers
+from repro.parallel import StreamingExplorer
 
 PAIRS = 10
 TOPOLOGY_SEED = 2010_04_01
@@ -87,35 +88,6 @@ def group_supervise():
             "supervised": quartiles(sup), "unsupervised": quartiles(unsup)}
 
 
-def group_batch_vs_stream_single():
-    built = fig2()
-    seeds = observed(built, 24)
-    budget = ExplorationBudget(max_executions=24)
-    found = {}
-
-    def batch():
-        r = ParallelExplorer(workers=2).explore_batch(built.provider, seeds, budget=budget)
-        assert r.used_processes
-        found["batch"] = keys(r)
-        return r.executions_per_second
-
-    def stream():
-        s = StreamingExplorer(workers=2, budget=budget, queue_capacity=len(seeds))
-        s.start(built.provider)
-        for peer, upd in seeds:
-            s.submit(peer, upd)
-        r = s.close()
-        assert r.used_processes
-        found["stream"] = keys(r)
-        return r.executions_per_second
-
-    b, s = alternate(batch, stream)
-    assert found["batch"] == found["stream"]
-    return {"metric": "exec/s (higher better), fig2 400/80 single node, 24 seeds x 24 execs, 2 workers",
-            "executor_batch": quartiles(b), "stream": quartiles(s),
-            "finding_keys_equal": True}
-
-
 def group_batch_vs_stream_fed50():
     built = get_scenario("hierarchical-50").build(seed=TOPOLOGY_SEED)
     built.converge()
@@ -166,61 +138,10 @@ def group_per_as_vs_shared():
             "finding_keys_equal": True}
 
 
-def group_serial_vs_inline_stream():
-    graph = generators.hierarchical(100, seed=TOPOLOGY_SEED, filter_mode="missing")
-    host, routers = build_routers(graph, seed=TOPOLOGY_SEED)
-    host.run()
-    names = list(graph.nodes)
-    step = max(1, -(-len(names) // 16))
-    corpus = synthesize_hijack_corpus(graph, 1, targets=names[::step])
-    budget = ExplorationBudget(max_executions=8)
-    found = {}
-
-    def serial():
-        by_node = {}
-        for node, peer, upd in corpus:
-            by_node.setdefault(node, []).append((peer, upd))
-        started = time.perf_counter()
-        batches = ParallelExplorer(workers=1, strategy_seed=1).explore_nodes(
-            [(n, routers[n], s) for n, s in by_node.items()], budget=budget)
-        wall = time.perf_counter() - started
-        found["serial"] = {
-            (n, repr(f.dedup_key())) for n, b in batches.items() for f in b.findings()}
-        return wall
-
-    def inline_stream():
-        by_node = {}
-        for node, peer, upd in corpus:
-            by_node.setdefault(node, []).append((peer, upd))
-        started = time.perf_counter()
-        s = StreamingExplorer(workers=1, force_serial=True, budget=budget, strategy_seed=1,
-                              coverage_guided=False,
-                              queue_capacity=max(len(v) for v in by_node.values()))
-        s.start_nodes({n: routers[n] for n in by_node})
-        for n, seeds in by_node.items():
-            for peer, upd in seeds:
-                s.submit(peer, upd, node=n)
-        r = s.close()
-        wall = time.perf_counter() - started
-        found["stream"] = {
-            (n, repr(f.dedup_key()))
-            for n in by_node for rep in r.reports_in_index_order(n) for f in rep.findings}
-        return wall
-
-    a, b = alternate(serial, inline_stream)
-    assert found["serial"] == found["stream"]
-    return {"metric": f"per-AS exploration wall s (lower better), hierarchical-100, "
-                      f"{len(corpus)} seeds x 8 execs, in-process",
-            "serial_loop": quartiles(a), "inline_stream": quartiles(b),
-            "finding_keys_equal": True}
-
-
 GROUPS = {
     "supervise": group_supervise,
-    "batch_vs_stream_single": group_batch_vs_stream_single,
     "batch_vs_stream_fed50": group_batch_vs_stream_fed50,
     "per_as_vs_shared": group_per_as_vs_shared,
-    "serial_vs_inline_stream": group_serial_vs_inline_stream,
 }
 
 if __name__ == "__main__":

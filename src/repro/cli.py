@@ -120,10 +120,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
               "(see 'repro scenarios')", file=sys.stderr)
         return 2
     scenario = _build(args)
-    if args.stream:
+    if args.stream or args.workers > 1 or args.all_seeds:
         return _explore_stream(scenario, args)
-    if args.workers > 1 or args.all_seeds:
-        return _explore_parallel(scenario, args)
     seed = scenario.dice.pick_seed("customer")
     if seed is None:
         print("no observed inputs")
@@ -145,29 +143,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
           f"{report.exploration.coverage.covered_sites} sites")
     stats = scenario.dice.explorer.engine.solver.stats
     print("solver:", stats.as_dict())
-    return 0
-
-
-def _explore_parallel(scenario, args: argparse.Namespace) -> int:
-    """Batch exploration across the observed seed buffers."""
-    seeds = scenario.dice.batch_seeds(all_seeds=True)
-    if not seeds:
-        print("no observed inputs")
-        return 1
-    # The explorer comes from the scenario's DiCE so its checkers and
-    # anycast whitelist apply here exactly as in sequential rounds.
-    explorer = scenario.dice.parallel_explorer(
-        workers=args.workers, policy=args.policy, strategy=args.strategy,
-        strategy_seed=args.seed,
-        budget=ExplorationBudget(max_executions=args.executions),
-    )
-    batch = explorer.explore_batch(scenario.provider, seeds)
-    print(f"parallel exploration ({args.workers} workers, "
-          f"{len(batch.reports)} sessions):")
-    for key, value in batch.summary().items():
-        print(f"  {key}: {value}")
-    if batch.fallback_reason:
-        print(f"  note: {batch.fallback_reason}")
     return 0
 
 
@@ -237,29 +212,37 @@ def _stream_progress(report) -> None:
 
 
 def _explore_stream(scenario, args: argparse.Namespace) -> int:
-    """Streaming exploration: enqueue the observed seeds, harvest live."""
-    seeds = scenario.dice.observed
-    if not seeds:
-        print("no observed inputs")
-        return 1
-    with scenario.dice.stream(
+    """Explore every observed seed on the pool: streamed and harvested
+    live with ``--stream``, else as one batch (inline for one worker)."""
+    dice = scenario.dice
+    # The explorer comes from the scenario's DiCE so its checkers and
+    # anycast whitelist apply here exactly as in sequential rounds.
+    options = dict(
         workers=args.workers, policy=args.policy, strategy=args.strategy,
         strategy_seed=args.seed,
         budget=ExplorationBudget(max_executions=args.executions),
-    ) as stream:
-        # The scenario's traffic was already observed during convergence;
-        # replay those buffers into the stream the way live operation
-        # would feed them through DiCE.observe.
-        for peer, observed in seeds:
-            stream.submit(peer, observed)
-        stream.drain(progress=_stream_progress, progress_interval=1.0)
-        report = stream.report
-        print(f"streaming exploration ({args.workers} workers, "
-              f"{report.jobs_completed} sessions):")
-        for key, value in report.summary().items():
-            print(f"  {key}: {value}")
-        if report.fallback_reason:
-            print(f"  note: {report.fallback_reason}")
+    )
+    seeds = dice.observed if args.stream else dice.batch_seeds(all_seeds=True)
+    if not seeds:
+        print("no observed inputs")
+        return 1
+    if args.stream:
+        with dice.stream(**options) as stream:
+            # The scenario's traffic was already observed during
+            # convergence; replay those buffers into the stream the way
+            # live operation would feed them through DiCE.observe.
+            for peer, observed in seeds:
+                stream.submit(peer, observed)
+            stream.drain(progress=_stream_progress, progress_interval=1.0)
+        report, mode = stream.report, "streaming"
+    else:
+        report, mode = dice.explore_batch(seeds, **options), "parallel"
+    print(f"{mode} exploration ({args.workers} workers, "
+          f"{report.jobs_completed} sessions):")
+    for key, value in report.summary().items():
+        print(f"  {key}: {value}")
+    if report.fallback_reason:
+        print(f"  note: {report.fallback_reason}")
     return 0
 
 

@@ -151,7 +151,7 @@ def merge_stats_dict(
     """Fold one :meth:`SolverStats.as_dict` into a running total, in place.
 
     The single definition of the aggregation rule every cross-session
-    view uses (``ExplorationReport.absorb``, ``BatchReport.solver_totals``):
+    view uses (``ExplorationReport.absorb``, ``StreamReport.solver_totals``):
     plain counters sum; derived ratios (``*_rate`` keys) are skipped and
     ``cache_hit_rate`` is recomputed from the summed counters, so adding
     a stage or ratio to ``SolverStats`` cannot silently be summed wrong

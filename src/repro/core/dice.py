@@ -30,7 +30,6 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # avoids the runtime core <-> parallel import cycle
-    from repro.parallel.explorer import BatchReport, ParallelExplorer
     from repro.parallel.options import EngineOptions, PoolOptions
     from repro.parallel.stream import StreamReport, StreamingExplorer
 
@@ -227,18 +226,18 @@ class DiCE:
         model: Optional[InputModel] = None,
         parallel: int = 1,
         all_seeds: bool = False,
-    ) -> Union[SessionReport, "BatchReport", None]:
+    ) -> Union[SessionReport, "StreamReport", None]:
         """One exploration round; parallel when asked.
 
         The default is the sequential session of the original prototype:
         one checkpoint + exploration from the round-robin-picked seed.
         With ``parallel > 1`` or ``all_seeds=True`` the round becomes a
-        batch — a single checkpoint fanned out across the observed seed
-        buffers to ``parallel`` worker processes (see
-        :class:`repro.parallel.ParallelExplorer`) — and the return value
-        is the aggregated :class:`~repro.parallel.explorer.BatchReport`.
-        Every session report still lands in :attr:`rounds`, so findings
-        aggregation is identical either way.
+        batch (:meth:`explore_batch`) — a single checkpoint fanned out
+        across the observed seed buffers to ``parallel`` workers — and
+        the return value is the aggregated
+        :class:`~repro.parallel.reports.StreamReport`.  Every session
+        report still lands in :attr:`rounds`, so findings aggregation is
+        identical either way.
 
         Returns None when no input has been observed yet (nothing to
         explore).  Wall-clock time spent is accumulated for the overhead
@@ -250,7 +249,7 @@ class DiCE:
                     "parallel rounds build stock per-worker engines, "
                     "strategies, and models (live objects cannot cross the "
                     "process boundary); for custom configurations use "
-                    "repro.parallel.ParallelExplorer directly"
+                    "repro.parallel.explore_batch directly"
                 )
             seeds = self.batch_seeds(peer, all_seeds=all_seeds)
             if not seeds:
@@ -260,9 +259,7 @@ class DiCE:
             # does the same for sequential rounds).
             for _, update in seeds:
                 self.scheduler.mark_scheduled(seed_signature(update))
-            batch = self.parallel_explorer(
-                workers=parallel, budget=budget
-            ).explore_batch(self.router, seeds)
+            batch = self.explore_batch(seeds, workers=parallel, budget=budget)
             self.rounds.extend(batch.reports)
             for report in batch.reports:
                 self.scheduler.note_session(report.peer, report.exploration.coverage)
@@ -283,24 +280,31 @@ class DiCE:
         self.scheduler.note_session(peer_id, report.exploration.coverage)
         return report
 
-    def parallel_explorer(
-        self, pool: Optional["PoolOptions"] = None, **options: object
-    ) -> "ParallelExplorer":
-        """A batch explorer carrying this DiCE's exploration configuration.
+    def explore_batch(
+        self,
+        seeds: Sequence[Tuple[str, UpdateMessage]],
+        pool: Optional["PoolOptions"] = None,
+        **options: object,
+    ) -> "StreamReport":
+        """Checkpoint the live router once and explore ``seeds`` as a batch.
 
-        The single place where the facade's policy, model kwargs, custom
-        checkers, and anycast whitelist become the
+        Runs :func:`repro.parallel.explore_batch` with this DiCE's
+        exploration configuration: its policy, model kwargs, custom
+        checkers and anycast whitelist become the
         :class:`~repro.parallel.options.EngineOptions` every worker runs
-        with — callers (``run_round``, the CLI) should build batch
-        explorers here rather than by hand; ``pool`` and keywords (any
-        field of either record) add the rest.  Note the worker engines
-        are stock: a custom ``engine`` passed to :class:`DiCE` applies to
-        sequential rounds only, because live engine/solver objects
-        cannot cross the process boundary.
+        with; ``pool`` and keywords (any field of either record) add the
+        rest.  Reports come back in ``seeds`` order.  Note the worker
+        engines are stock: a custom ``engine`` passed to :class:`DiCE`
+        applies to sequential rounds only, because live engine/solver
+        objects cannot cross the process boundary.
         """
-        from repro.parallel.explorer import ParallelExplorer
+        from repro.parallel.jobs import DEFAULT_NODE, DEFAULT_TENANT
+        from repro.parallel.stream import explore_batch
 
-        return ParallelExplorer(*self._options(pool, options))
+        corpus = {
+            DEFAULT_TENANT: ({DEFAULT_NODE: self.router}, {DEFAULT_NODE: seeds})
+        }
+        return explore_batch(corpus, *self._options(pool, options)).report
 
     def _options(
         self, pool: Optional["PoolOptions"], options: Dict[str, object]
@@ -322,9 +326,9 @@ class DiCE:
     ) -> "StreamingExplorer":
         """A streaming pipeline carrying this DiCE's exploration config.
 
-        The streaming analogue of :meth:`parallel_explorer`, with the
-        same arguments; without a ``pool`` record the stream's per-peer
-        queue bound defaults to the observation buffers' capacity.
+        Takes :meth:`explore_batch`'s options; without a ``pool`` record
+        the stream's per-peer queue bound defaults to the observation
+        buffers' capacity.
         """
         from repro.parallel.options import PoolOptions
         from repro.parallel.stream import StreamingExplorer

@@ -30,7 +30,7 @@ This module implements that sketch on our substrates:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -578,12 +578,11 @@ class FederatedExploration:
     * :meth:`run` — the original single-injection wave: one exploratory
       UPDATE at one clone, propagation, digest comparison;
     * :meth:`explore` — the scenario-scale version: a whole seed corpus
-      is first explored concolically *per AS* through
-      :class:`~repro.parallel.ParallelExplorer` or a
-      :class:`~repro.parallel.stream.StreamingExplorer` (either way one
-      worker pool and constraint cache across all ASes), then every
-      seed is injected into one fabric for the system-wide wave and
-      digest check.
+      is first explored concolically *per AS* on one
+      :class:`~repro.parallel.stream.StreamingExplorer` (one worker
+      pool and constraint cache across all ASes), then every seed is
+      injected into one fabric for the system-wide wave and digest
+      check.
 
     The cross-domain check is the federation-wide origin check: domains
     compare *origin digests* (salted hashes; see
@@ -675,17 +674,23 @@ class FederatedExploration:
     ) -> FederatedReport:
         """Explore a federated seed corpus, then run the system-wide wave.
 
-        Per-AS exploration goes through the parallel machinery — a
-        single :meth:`~repro.parallel.ParallelExplorer.explore_nodes`
-        fan-out (the in-process loop for one worker, else all ASes' jobs
-        in one pool) or, with ``stream=True``, **one** shared
-        :class:`~repro.parallel.stream.StreamingExplorer` whose workers
-        hold every AS's ``(node, epoch)`` image and whose dispatch
-        budget rotates across ASes (``as_rotation``).  All assign the
-        same per-AS job indices, so for a fixed corpus the finding set
-        is identical across serial, batch, and streamed runs with any
-        worker count.  ``engine`` and ``pool`` configure the sessions
-        and the pool; flat keywords name their fields.
+        Per-AS exploration is **one** shared
+        :class:`~repro.parallel.stream.StreamingExplorer` fed the whole
+        corpus (:func:`~repro.parallel.stream.explore_batch`): its
+        workers hold every AS's ``(node, epoch)`` template and its
+        dispatch budget rotates across ASes (``as_rotation``).  Every
+        AS's jobs are indexed by position in its seed list, so for a
+        fixed corpus the finding set is identical with any worker
+        count, batch or streamed.  ``engine`` and ``pool`` configure the
+        sessions and the pool; flat keywords name their fields.
+
+        By default the corpus runs as a batch: one worker runs inline
+        and a failed or quarantined job raises
+        :class:`~repro.util.errors.ExplorationError`.  With
+        ``stream=True`` it runs on the pool as configured, a failed job
+        stays a hole in the report, and the report carries the pool's
+        summary and per-AS yields (``streamed``, ``stream_summary``,
+        ``scheduler_yield``).
 
         ``stream_epochs`` > 1 splits each AS's seed list into that many
         re-checkpoint epochs: every boundary captures each node again
@@ -718,30 +723,14 @@ class FederatedExploration:
                 )
         started = time.perf_counter()
         by_node = self._by_node(seeds, "federated exploration")
-        if stream:
-            pipeline = _stream_corpora(
-                {"": (self, by_node)},  # the default tenant
-                engine, pool, stream_epochs, epoch_churn,
-            )
-            report = self._report(
-                seeds, by_node, pool.workers, pipeline.report,
-                pipeline.federation_yields(),
-            )
-        else:
-            from repro.parallel.explorer import ParallelExplorer
-
-            batches = ParallelExplorer(engine, pool).explore_nodes(
-                [(node, self.routers[node], node_seeds)
-                 for node, node_seeds in by_node.items()],
-            )
-            report = self._report(
-                seeds,
-                {node: list(batch.reports) for node, batch in batches.items()},
-                pool.workers,
-            )
-            report.used_processes = any(
-                batch.used_processes for batch in batches.values()
-            )
+        pipeline = _stream_corpora(
+            {"": (self, by_node)},  # the default tenant
+            engine, pool, stream_epochs, epoch_churn, stream=stream,
+        )
+        report = self._report(
+            seeds, by_node, pool.workers, pipeline.report,
+            pipeline.federation_yields() if stream else None,
+        )
         if workload is not None:
             report.workload_findings, report.workload_stats = (
                 self.run_workload(workload)
@@ -768,21 +757,21 @@ class FederatedExploration:
         return by_node
 
     def _report(
-        self, seeds, per_as, workers, streamed=None, scheduler_yield=None,
+        self, seeds, by_node, workers, pool_report, scheduler_yield=None,
     ) -> FederatedReport:
         """The system-wide wave over this federation's own fresh fabric,
-        carrying the per-AS sessions — read, with the pool's provenance,
-        from the ``streamed`` report when there is one (``per_as`` need
-        then only be keyed by the explored nodes)."""
+        carrying the per-AS sessions read from ``pool_report``; a
+        streamed run (``scheduler_yield`` given) also carries the
+        pool's summary."""
         report = self._wave(self._fabric(), seeds)
-        if streamed is not None:
-            per_as = {
-                node: streamed.reports_in_index_order(node) for node in per_as
-            }
+        per_as = {
+            node: pool_report.reports_in_index_order(node) for node in by_node
+        }
+        report.used_processes = pool_report.used_processes
+        if scheduler_yield is not None:
             report.streamed = True
-            report.used_processes = streamed.used_processes
             report.scheduler_yield = scheduler_yield
-            report.stream_summary = streamed.summary()
+            report.stream_summary = pool_report.summary()
         report.per_as_sessions = per_as
         report.sessions = [r for reports in per_as.values() for r in reports]
         report.workers = workers
@@ -847,36 +836,33 @@ class FederatedExploration:
         return findings
 
 
-def _stream_corpora(corpora, engine, pool, epochs, churn_threshold):
+def _stream_corpora(
+    corpora, engine, pool, epochs, churn_threshold, stream=True
+):
     """Feed ``{tenant: (exploration, seeds by node)}`` through **one**
-    shared streaming pool; returns the closed pipeline.
+    shared pool (:func:`~repro.parallel.stream.explore_batch`, a batch
+    unless ``stream``); returns the closed pipeline.
 
     Every AS's epoch-0 template is inherited by the same worker
-    processes when they fork; seeds
-    enter node-tagged (per-node arrival indices keep batch parity),
-    epoch boundaries ship per-node deltas.  Seeds dispatch in per-node
-    arrival order: coverage-guided reordering pays on open-ended
-    streams, but a federated corpus is finite and parity with the
-    serial loop's per-index sessions is what matters here.  Cross-AS
-    rotation (``as_rotation``) may still reorder across nodes — indices
-    are fixed at submission.
+    processes when they fork; seeds enter node-tagged (per-node arrival
+    indices keep serial parity), epoch boundaries ship per-node
+    patches.  Cross-AS rotation (``as_rotation``) may reorder dispatch
+    across nodes — indices are fixed at submission.
     """
-    from repro.parallel.stream import StreamingExplorer
+    from repro.parallel.stream import explore_batch
 
     if epochs < 1:
         raise ExplorationError(f"stream_epochs must be >= 1, got {epochs}")
-    pipeline = StreamingExplorer(engine, replace(pool, coverage_guided=False))
-    pipeline.explore_corpus(
+    return explore_batch(
         {
             tenant: (
                 {node: exploration.routers[node] for node in by_node}, by_node
             )
             for tenant, (exploration, by_node) in corpora.items()
         },
-        epochs=epochs,
+        engine, pool, stream=stream, epochs=epochs,
         churn_threshold=churn_threshold,
     )
-    return pipeline
 
 
 def explore_tenants(

@@ -1,14 +1,14 @@
-"""What a batch and a stream hand back: session reports, aggregated.
+"""What the pool hands back: session reports, aggregated.
 
-:class:`BatchReport` is the order-independent aggregate every engine
-produces.  :class:`StreamReport` grows one **asynchronously** — session
-reports are absorbed as they arrive, every view valid mid-stream — and
-adds the pool's account of itself.  Exactly-once accounting is a sum
-over it: each submitted seed ends as a completed job, a coalesced seed,
-a dropped job, a quarantined job or a per-job error.
+:class:`StreamReport` is the one report every run produces, a batch or
+a stream alike.  It grows **asynchronously** — session reports are
+absorbed as they arrive, every view valid mid-stream — and carries the
+pool's account of itself.  Exactly-once accounting is a sum over it:
+each submitted seed ends as a completed job, a coalesced seed, a dropped
+job, a quarantined job or a per-job error.
 
-A leaf module, so the coordinator, the batch facade and the federation
-layer import reports from here and not from each other.
+A leaf module, so the coordinator and the federation layer import
+reports from here and not from each other.
 """
 
 from __future__ import annotations
@@ -21,102 +21,6 @@ from repro.concolic.solver import merge_stats_dict
 from repro.core.report import Finding, SessionReport
 from repro.parallel.jobs import JobKey
 from repro.util.ip import Prefix
-
-
-@dataclass
-class BatchReport:
-    """Aggregate outcome of one parallel exploration batch."""
-
-    reports: List[SessionReport] = field(default_factory=list)
-    workers: int = 1
-    used_processes: bool = False
-    fallback_reason: str = ""
-    wall_seconds: float = 0.0
-    checkpoint_seconds: float = 0.0
-
-    @property
-    def total_executions(self) -> int:
-        return sum(r.exploration.executions for r in self.reports)
-
-    @property
-    def executions_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.total_executions / self.wall_seconds
-
-    def add_report(self, report: SessionReport) -> "BatchReport":
-        """Incremental aggregation: absorb one session report on arrival.
-
-        The streaming harvester calls this per completed job, and every
-        aggregate view (``findings``, ``cache_stats``, ``summary``) is
-        valid after each call — there is no finalize step.
-        """
-        self.reports.append(report)
-        return self
-
-    def findings(self) -> List[Finding]:
-        """Unique findings across the whole batch (order-independent)."""
-        seen: Dict[tuple, Finding] = {}
-        for report in self.reports:
-            for finding in report.findings:
-                seen.setdefault(finding.dedup_key(), finding)
-        return list(seen.values())
-
-    def leaked_prefixes(self) -> List[Prefix]:
-        prefixes = set()
-        for report in self.reports:
-            prefixes.update(report.leaked_prefixes())
-        return sorted(prefixes)
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Summed per-worker solver cache counters, across all three layers.
-
-        Exact-key hits/misses, semantic (subsumption) probe counters, and
-        propagate-memo counters from each session's solver, summed.
-        """
-        keys = (
-            "cache_hits",
-            "cache_misses",
-            "semantic_lookups",
-            "semantic_hits",
-            "propagate_memo_hits",
-            "propagate_memo_misses",
-        )
-        return {
-            key: sum(int(r.solver_stats.get(key, 0)) for r in self.reports)
-            for key in keys
-        }
-
-    def solver_totals(self) -> Dict[str, float]:
-        """Summed per-worker solver counters, with derived rates recomputed.
-
-        Each session ships its private solver's ``SolverStats.as_dict()``
-        home; this folds them into one cross-session view (the CLI's
-        streaming progress line prints the stage-timing slice of it).
-        Ratio keys (``*_rate``) are recomputed from the summed counters
-        rather than summed themselves.
-        """
-        totals: Dict[str, float] = {}
-        for report in self.reports:
-            merge_stats_dict(totals, report.solver_stats)
-        totals.setdefault("cache_hit_rate", 0.0)
-        return totals
-
-    def summary(self) -> Dict[str, object]:
-        out = {
-            "sessions": len(self.reports),
-            "workers": self.workers,
-            "used_processes": self.used_processes,
-            "total_executions": self.total_executions,
-            "executions_per_second": round(self.executions_per_second, 2),
-            "findings": len(self.findings()),
-            "leaked_prefixes": len(self.leaked_prefixes()),
-            "wall_seconds": round(self.wall_seconds, 4),
-            **self.cache_stats(),
-        }
-        if self.fallback_reason:
-            out["fallback_reason"] = self.fallback_reason
-        return out
 
 
 @dataclass(frozen=True)
@@ -144,15 +48,22 @@ class QuarantinedJob:
 
 
 @dataclass
-class StreamReport(BatchReport):
-    """A :class:`BatchReport` grown incrementally, plus stream provenance.
+class StreamReport:
+    """Aggregate outcome of one pool run: its sessions plus provenance.
 
     Reports land in *arrival* order; ``indices`` records each report's
     ``(node, index)`` job key so :meth:`reports_in_index_order` can
     reconstruct each node's submission ordering — what a batch hands
-    back, and what the serial loop is compared on.
+    back, and what the serial loop is compared on.  The aggregate views
+    (``findings``, ``cache_stats``, ``summary``) are order-independent.
     """
 
+    reports: List[SessionReport] = field(default_factory=list)
+    workers: int = 1
+    used_processes: bool = False
+    fallback_reason: str = ""
+    wall_seconds: float = 0.0
+    checkpoint_seconds: float = 0.0
     indices: List[JobKey] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     epochs: int = 0
@@ -215,6 +126,16 @@ class StreamReport(BatchReport):
     jobs_by_tenant: Dict[str, int] = field(default_factory=dict)
 
     @property
+    def total_executions(self) -> int:
+        return sum(r.exploration.executions for r in self.reports)
+
+    @property
+    def executions_per_second(self) -> float:
+        if self.wall_seconds <= 0:
+            return 0.0
+        return self.total_executions / self.wall_seconds
+
+    @property
     def jobs_completed(self) -> int:
         return len(self.reports)
 
@@ -243,8 +164,58 @@ class StreamReport(BatchReport):
         return self.checkpoint_bytes_shipped / len(self.reports)
 
     def add_stream_report(self, key: JobKey, report: SessionReport) -> None:
-        self.add_report(report)
+        """Absorb one session report on arrival; every aggregate view is
+        valid after each call — there is no finalize step."""
+        self.reports.append(report)
         self.indices.append(key)
+
+    def findings(self) -> List[Finding]:
+        """Unique findings across every session (order-independent)."""
+        seen: Dict[tuple, Finding] = {}
+        for report in self.reports:
+            for finding in report.findings:
+                seen.setdefault(finding.dedup_key(), finding)
+        return list(seen.values())
+
+    def leaked_prefixes(self) -> List[Prefix]:
+        prefixes = set()
+        for report in self.reports:
+            prefixes.update(report.leaked_prefixes())
+        return sorted(prefixes)
+
+    def cache_stats(self) -> Dict[str, int]:
+        """Summed per-worker solver cache counters, across all three layers.
+
+        Exact-key hits/misses, semantic (subsumption) probe counters, and
+        propagate-memo counters from each session's solver, summed.
+        """
+        keys = (
+            "cache_hits",
+            "cache_misses",
+            "semantic_lookups",
+            "semantic_hits",
+            "propagate_memo_hits",
+            "propagate_memo_misses",
+        )
+        return {
+            key: sum(int(r.solver_stats.get(key, 0)) for r in self.reports)
+            for key in keys
+        }
+
+    def solver_totals(self) -> Dict[str, float]:
+        """Summed per-worker solver counters, with derived rates recomputed.
+
+        Each session ships its private solver's ``SolverStats.as_dict()``
+        home; this folds them into one cross-session view (the CLI's
+        streaming progress line prints the stage-timing slice of it).
+        Ratio keys (``*_rate``) are recomputed from the summed counters
+        rather than summed themselves.
+        """
+        totals: Dict[str, float] = {}
+        for report in self.reports:
+            merge_stats_dict(totals, report.solver_stats)
+        totals.setdefault("cache_hit_rate", 0.0)
+        return totals
 
     def reports_in_index_order(
         self, node: Optional[str] = None
@@ -272,7 +243,19 @@ class StreamReport(BatchReport):
         return total
 
     def summary(self) -> Dict[str, object]:
-        base = super().summary()
+        base = {
+            "sessions": len(self.reports),
+            "workers": self.workers,
+            "used_processes": self.used_processes,
+            "total_executions": self.total_executions,
+            "executions_per_second": round(self.executions_per_second, 2),
+            "findings": len(self.findings()),
+            "leaked_prefixes": len(self.leaked_prefixes()),
+            "wall_seconds": round(self.wall_seconds, 4),
+            **self.cache_stats(),
+        }
+        if self.fallback_reason:
+            base["fallback_reason"] = self.fallback_reason
         base.update(
             {
                 "epochs": self.epochs,

@@ -2,9 +2,10 @@
 
 The paper's deployment is *continuous* — "DiCE runs in the Provider's
 router" — so exploration is a pipeline, not a per-round fan-out with a
-barrier, and this is the repo's one process pool (a multi-process batch,
-:class:`repro.parallel.ParallelExplorer`, is this pipeline fed a finite
-corpus and closed — :meth:`StreamingExplorer.explore_corpus`).
+barrier, and this is the repo's one engine.  A batch is this pipeline
+fed a finite corpus and closed (:func:`explore_batch`, over
+:meth:`StreamingExplorer.explore_corpus`): on an inline worker for one
+worker, on the process pool past it.
 
 :class:`StreamingExplorer` only coordinates; each concern is documented
 where it is implemented: job records and their lifecycle
@@ -70,6 +71,11 @@ from repro.parallel.transport import (
     _WorkerHandle,
 )
 from repro.util.errors import ExplorationError
+
+#: A finite corpus, one tenant or many:
+#: ``{tenant: (live routers by node, seeds by node)}``.
+Corpus = Dict[str, Tuple[Dict[str, BgpRouter], Dict[str, Sequence[Seed]]]]
+
 
 def split_chunks(items: Sequence, count: int) -> List[list]:
     """``items`` in ``count`` contiguous chunks (early chunks larger).
@@ -296,7 +302,7 @@ class StreamingExplorer:
 
     def explore_corpus(
         self,
-        corpus: Dict[str, Tuple[Dict[str, BgpRouter], Dict[str, Sequence[Seed]]]],
+        corpus: Corpus,
         epochs: int = 1,
         churn_threshold: Optional[int] = None,
     ) -> StreamReport:
@@ -307,10 +313,11 @@ class StreamingExplorer:
         and feeds each node's seeds in ``epochs`` chunks — every
         boundary re-checkpoints each node and ships its patch (or, with
         ``churn_threshold``, only for nodes churned past it; quiet nodes
-        keep their epoch) — then closes.  This is what a multi-process
-        batch, a streamed federated exploration and a multi-tenant
-        service run all are.  A finite corpus is explored in full, so
-        the pending queues are sized to hold it: nothing coalesces.
+        keep their epoch) — then closes.  This is what a batch, a
+        streamed federated exploration and a multi-tenant service run
+        all are (see :func:`explore_batch`).  A finite corpus is explored
+        in full, so the pending queues are sized to hold it: nothing
+        coalesces.
         """
         self.pool_options = replace(self.pool_options, queue_capacity=max(
             [self.pool_options.queue_capacity]
@@ -1019,7 +1026,8 @@ class StreamingExplorer:
         self._pool.stop()
         shutdown_cache_managers(self._cache_managers)
         self._cache_managers = []
-        self.report.wall_seconds = time.perf_counter() - self._started_at
+        if self._started:
+            self.report.wall_seconds = time.perf_counter() - self._started_at
         for treport in self._tenant_reports.values():
             treport.wall_seconds = self.report.wall_seconds
             treport.used_processes = self.report.used_processes
@@ -1032,3 +1040,54 @@ class StreamingExplorer:
             raise ExplorationError("stream not started (call start(live_router))")
         if self._closed:
             raise ExplorationError("stream already closed")
+
+
+def explore_batch(
+    corpus: Corpus,
+    engine: Optional[EngineOptions] = None,
+    pool: Optional[PoolOptions] = None,
+    *,
+    stream: bool = False,
+    epochs: int = 1,
+    churn_threshold: Optional[int] = None,
+    **options: object,
+) -> StreamingExplorer:
+    """Explore a finite corpus in full on a pool built for it; returns
+    the closed pipeline, whose ``report`` holds every session.
+
+    Seeds dispatch in per-node arrival order: coverage-guided reordering
+    pays on an open-ended stream, but every seed of a corpus is explored
+    anyway, and job indices are fixed at submission, so dispatch order
+    could not change a session.  A corpus without a single seed starts
+    no pool and reports wall time 0.
+
+    A batch (the default) keeps the promises of a batch: at most one
+    worker runs inline, on the coordinator, with no process to start;
+    each node's reports come back in submission order; and a failed or
+    quarantined job raises :class:`ExplorationError` where a stream
+    would record it and move on.  With ``stream=True`` the pool runs as
+    configured and a hole stays in the report.
+    """
+    engine, pool = resolve_options(engine, pool, **options)
+    if not stream and pool.workers <= 1:
+        pool = replace(pool, force_serial=True)
+    pipeline = StreamingExplorer(engine, replace(pool, coverage_guided=False))
+    if not any(
+        seeds for _, by_node in corpus.values() for seeds in by_node.values()
+    ):
+        pipeline.close()
+        return pipeline
+    report = pipeline.explore_corpus(
+        corpus, epochs=epochs, churn_threshold=churn_threshold
+    )
+    if stream:
+        return pipeline
+    failed = report.errors + [job.describe() for job in report.quarantined]
+    if failed:
+        raise ExplorationError(
+            f"{len(failed)} job(s) of the batch failed: {failed[0]}"
+        )
+    order = sorted(range(len(report.indices)), key=report.indices.__getitem__)
+    report.indices = [report.indices[i] for i in order]
+    report.reports = [report.reports[i] for i in order]
+    return pipeline

@@ -3,10 +3,11 @@
 :class:`SessionJob` is a full DiCE session: restore the checkpoint into
 an isolated clone, rebuild the marking model from the observed seed,
 explore the UPDATE handler, run the fault checkers — all under one
-:class:`~repro.parallel.options.EngineOptions`.  The serial loop builds
-one per seed; a stream worker builds one per
-:class:`~repro.parallel.jobs.StreamJob` from its resident checkpoint and
-the options it was handed when it was built, so no job carries them.
+:class:`~repro.parallel.options.EngineOptions`.  The serial reference
+loop the parity tests keep builds one per seed; a stream worker builds
+one per :class:`~repro.parallel.jobs.StreamJob` from its resident
+checkpoint and the options it was handed when it was built, so no job
+carries them.
 
 Workers build their *own* engine, solver, checkers, and strategy from
 the options rather than receiving live objects: every stateful
@@ -115,7 +116,7 @@ def run_session_job(job: SessionJob) -> SessionReport:
     solver = ConstraintSolver(cache=job.cache, deterministic_rng=True)
     engine = ConcolicEngine(solver=solver, keep_results=False)
     options = job.options
-    # Deep copy: in the serial loop (and in a forked worker) the options
+    # Deep copy: in an inline worker (and in a forked one) the options
     # are never pickled, so a plain list() would hand the same (possibly
     # stateful) checker instances to every session — and make serial
     # and multi-process runs diverge for checkers that accumulate state

@@ -17,7 +17,7 @@ from repro.bgp.messages import UpdateMessage
 from repro.bgp.nlri import NlriEntry
 from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic.engine import ExplorationBudget
-from repro.parallel import ParallelExplorer, StreamingExplorer
+from repro.parallel import StreamingExplorer
 from repro.parallel.chaos import ChaosEvent, ChaosPlan
 from repro.parallel.images import ImageStore
 from repro.parallel.jobs import JobTable, StreamJob, scoped_node
@@ -25,6 +25,8 @@ from repro.parallel.options import EngineOptions
 from repro.parallel.reports import StreamReport
 from repro.parallel.transport import MSG_EPOCH, MSG_JOB, RES_REPORT, _WorkerState
 from repro.util.ip import Prefix, ip_to_int
+
+from reference import serial_batch
 
 BUDGET = ExplorationBudget(max_executions=10)
 
@@ -48,15 +50,13 @@ def session_keys(reports):
 
 def serial_keys(router, seeds):
     """The serial engine's findings over ``router`` as it stands now."""
-    return finding_keys(
-        ParallelExplorer(workers=1).explore_batch(router, seeds, budget=BUDGET)
-    )
+    return finding_keys(serial_batch(router, seeds, budget=BUDGET))
 
 
 def serial_tail(router, seeds, skip):
     """The serial engine's per-seed findings for ``seeds[skip:]``, run at
     the positions a node's later epochs give them in a stream."""
-    batch = ParallelExplorer(workers=1).explore_batch(router, seeds, budget=BUDGET)
+    batch = serial_batch(router, seeds, budget=BUDGET)
     return session_keys(batch.reports[skip:])
 
 

@@ -1,8 +1,9 @@
-"""Tests for ParallelExplorer and the DiCE/schedule wiring.
+"""Tests for batches on the one engine and the DiCE/schedule wiring.
 
-The determinism tests implement the PR's acceptance requirement: the
-same seeds + budget produce the same deduped finding set with 1 worker,
-4 workers, and the forced in-process loop.
+A batch is a finite corpus fed to the streaming pool and closed.  The
+determinism tests hold it to the serial reference loop
+(``reference.py``): the same seeds + budget produce the same deduped
+finding set with 1 worker, 4 workers, and the forced inline worker.
 """
 
 import pickle
@@ -18,11 +19,12 @@ from repro.core.report import SessionReport
 from repro.core.schedule import OnlineScheduler, ScheduleConfig
 from repro.core import get_scenario
 from repro.core.scenario import synthesize_hijack_corpus
-from repro.parallel import ParallelExplorer, PoolOptions
-from repro.parallel import stream as stream_module
+from repro.parallel import PoolOptions, StreamingExplorer, StreamReport
 from repro.parallel import transport
 from repro.util.errors import ExplorationError
 from repro.util.ip import Prefix, ip_to_int
+
+from reference import batch as explore_batch, engine_batch, per_node, serial_loop
 
 P = Prefix.parse
 
@@ -58,9 +60,9 @@ class TestBatchDeterminism:
             ("four-workers", 4, False),
             ("fallback", 4, True),
         ):
-            explorer = ParallelExplorer(workers=workers, force_serial=force_serial)
-            batch = explorer.explore_batch(
-                erroneous_scenario.provider, seeds, budget=BUDGET
+            batch = explore_batch(
+                erroneous_scenario.provider, seeds, budget=BUDGET,
+                workers=workers, force_serial=force_serial,
             )
             outcomes[label] = (
                 finding_keys(batch),
@@ -72,11 +74,13 @@ class TestBatchDeterminism:
 
     def test_cache_does_not_change_findings(self, erroneous_scenario):
         seeds = batch_seeds(erroneous_scenario, count=4)
-        with_cache = ParallelExplorer(workers=1, constraint_cache=True).explore_batch(
-            erroneous_scenario.provider, seeds, budget=BUDGET
+        with_cache = explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET,
+            workers=1, constraint_cache=True,
         )
-        without = ParallelExplorer(workers=1, constraint_cache=False).explore_batch(
-            erroneous_scenario.provider, seeds, budget=BUDGET
+        without = explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET,
+            workers=1, constraint_cache=False,
         )
         assert finding_keys(with_cache) == finding_keys(without)
         assert with_cache.total_executions == without.total_executions
@@ -85,16 +89,16 @@ class TestBatchDeterminism:
 class TestBatchReports:
     def test_reports_in_submission_order(self, erroneous_scenario):
         seeds = batch_seeds(erroneous_scenario)
-        batch = ParallelExplorer(workers=2).explore_batch(
-            erroneous_scenario.provider, seeds, budget=BUDGET
+        batch = explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET, workers=2
         )
         assert [r.peer for r in batch.reports] == [peer for peer, _ in seeds]
         assert all(isinstance(r, SessionReport) for r in batch.reports)
 
     def test_batch_report_aggregates_and_pickles(self, erroneous_scenario):
         seeds = batch_seeds(erroneous_scenario, count=4)
-        batch = ParallelExplorer(workers=1).explore_batch(
-            erroneous_scenario.provider, seeds, budget=BUDGET
+        batch = explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET, workers=1
         )
         summary = batch.summary()
         assert summary["sessions"] == 4
@@ -106,8 +110,8 @@ class TestBatchReports:
 
     def test_worker_reports_carry_solver_stats(self, erroneous_scenario):
         seeds = batch_seeds(erroneous_scenario, count=2)
-        batch = ParallelExplorer(workers=2).explore_batch(
-            erroneous_scenario.provider, seeds, budget=BUDGET
+        batch = explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET, workers=2
         )
         for report in batch.reports:
             assert report.solver_stats.get("queries", 0) >= 0
@@ -121,16 +125,36 @@ class TestBatchReports:
         }
 
     def test_empty_seed_batch(self, erroneous_scenario):
-        batch = ParallelExplorer(workers=2).explore_batch(
-            erroneous_scenario.provider, [], budget=BUDGET
+        batch = explore_batch(
+            erroneous_scenario.provider, [], budget=BUDGET, workers=2
         )
         assert batch.reports == []
         assert batch.total_executions == 0
         assert batch.findings() == []
 
+    def test_all_empty_seed_lists_start_no_pool(
+        self, erroneous_scenario, monkeypatch
+    ):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an empty batch started a pool")
+
+        monkeypatch.setattr(StreamingExplorer, "start_nodes", refuse)
+        router = erroneous_scenario.provider
+        report = engine_batch(
+            {"as1": router, "as2": router}, {"as1": [], "as2": []},
+            budget=BUDGET, workers=2,
+        )
+        assert per_node(report, ["as1", "as2"]) == {
+            "as1": StreamReport(workers=2), "as2": StreamReport(workers=2),
+        }
+        assert report.wall_seconds == 0.0
+
+    def test_never_started_stream_reports_zero_wall_time(self):
+        assert StreamingExplorer(workers=1).close().wall_seconds == 0.0
+
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
-            ParallelExplorer(workers=0)
+            explore_batch(None, [], workers=0)
 
 
 class TestDiceParallelRound:
@@ -200,26 +224,56 @@ class TestSchedulerParallel:
 
 
 class TestPoolFacade:
-    """One decision: in process for one worker or ``force_serial``, else
-    the batch rides the streaming pool."""
+    """One engine: a batch is a finite corpus on the streaming pool —
+    one inline worker for one worker or ``force_serial``, worker
+    processes otherwise — and it finds what the serial loop finds."""
 
-    @pytest.mark.parametrize("workers, force_serial", [(1, False), (4, True)])
-    def test_in_process_loop_never_touches_the_pool(
-        self, erroneous_scenario, monkeypatch, workers, force_serial
-    ):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("the in-process loop built a pool")
+    @staticmethod
+    def sessions(reports):
+        return [
+            (
+                report.node,
+                report.peer,
+                report.exploration.unique_paths,
+                frozenset(f.dedup_key() for f in report.findings),
+            )
+            for report in reports
+        ]
 
-        monkeypatch.setattr(stream_module.StreamingExplorer, "__init__", refuse)
-        seed = batch_seeds(erroneous_scenario, count=1)
-        batch = ParallelExplorer(
-            workers=workers, force_serial=force_serial
-        ).explore_batch(erroneous_scenario.provider, seed * 3, budget=BUDGET)
-        assert not batch.used_processes
-        assert batch.fallback_reason == ""
-        # The loop's sessions share one constraint cache: an identical
-        # later session replays the first one's queries from it.
-        assert batch.reports[1].solver_stats["cache_hits"] > 0
+    @pytest.mark.parametrize("shape", ["single", "federated"])
+    def test_three_way_parity(self, erroneous_scenario, shape):
+        """Serial loop ≡ inline stream ≡ 2-process stream, session by
+        session, on the same seeds."""
+        if shape == "single":
+            seeds = batch_seeds(erroneous_scenario, count=3)
+            routers = {"": erroneous_scenario.provider}
+            by_node = {"": seeds * 2}
+        else:
+            built = get_scenario("line-3").build(seed=7)
+            built.converge()
+            by_node = {}
+            for node, peer, update in synthesize_hijack_corpus(
+                built.graph, 7, per_as=2
+            ):
+                by_node.setdefault(node, []).append((peer, update))
+            routers = {node: built.routers[node] for node in by_node}
+        loop = serial_loop(routers, by_node, budget=BUDGET)
+        inline = engine_batch(routers, by_node, budget=BUDGET, workers=1)
+        pooled = engine_batch(routers, by_node, budget=BUDGET, workers=2)
+        assert not inline.used_processes
+        assert inline.fallback_reason == ""
+        if not pooled.used_processes:
+            pytest.skip("no process workers on this host")
+        for node, seeds in by_node.items():
+            expected = self.sessions(loop.reports_in_index_order(node))
+            assert len(expected) == len(seeds)
+            for report in (inline, pooled):
+                assert self.sessions(report.reports_in_index_order(node)) == expected
+        assert finding_keys(loop) == finding_keys(inline) == finding_keys(pooled)
+        if shape == "single":
+            # One inline worker's sessions share one constraint cache: a
+            # repeated seed replays the first run's queries from it.
+            assert inline.reports[3].solver_stats["cache_hits"] > 0
 
     def test_unforkable_host_falls_back_inline(self, erroneous_scenario, monkeypatch):
         """No worker process can start: the batch still completes, says
@@ -230,11 +284,12 @@ class TestPoolFacade:
 
         monkeypatch.setattr(transport._ProcessWorker, "__init__", refuse)
         seeds = batch_seeds(erroneous_scenario, count=4)
-        batch = ParallelExplorer(workers=2).explore_batch(
-            erroneous_scenario.provider, seeds, budget=BUDGET
+        batch = explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET, workers=2
         )
-        serial = ParallelExplorer(workers=2, force_serial=True).explore_batch(
-            erroneous_scenario.provider, seeds, budget=BUDGET
+        serial = explore_batch(
+            erroneous_scenario.provider, seeds, budget=BUDGET,
+            workers=2, force_serial=True,
         )
         assert not batch.used_processes
         assert "fork refused" in batch.fallback_reason
@@ -252,12 +307,12 @@ class TestPoolFacade:
             def check(self, ctx):
                 return []
 
-        explorer = ParallelExplorer(workers=2, checkers=[UnpicklableChecker()])
         with pytest.raises(ExplorationError, match="picklable"):
-            explorer.explore_batch(
+            explore_batch(
                 erroneous_scenario.provider,
                 batch_seeds(erroneous_scenario, count=2),
                 budget=BUDGET,
+                workers=2, checkers=[UnpicklableChecker()],
             )
 
     def test_explore_nodes_shares_one_two_worker_pool(self, monkeypatch):
@@ -268,9 +323,7 @@ class TestPoolFacade:
         by_node = {}
         for node, peer, update in synthesize_hijack_corpus(built.graph, 7, per_as=2):
             by_node.setdefault(node, []).append((peer, update))
-        node_batches = [
-            (node, built.routers[node], seeds) for node, seeds in by_node.items()
-        ]
+        routers = {node: built.routers[node] for node in by_node}
 
         spawned = []
         original = transport._ProcessWorker.__init__
@@ -280,26 +333,17 @@ class TestPoolFacade:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(transport._ProcessWorker, "__init__", counting_init)
-        pooled = ParallelExplorer(workers=2).explore_nodes(node_batches, budget=BUDGET)
-        serial = ParallelExplorer(workers=2, force_serial=True).explore_nodes(
-            node_batches, budget=BUDGET
+        pooled = per_node(
+            engine_batch(routers, by_node, budget=BUDGET, workers=2), by_node
         )
+        serial = per_node(serial_loop(routers, by_node, budget=BUDGET), by_node)
         if not all(batch.used_processes for batch in pooled.values()):
             pytest.skip("no process workers on this host")
         assert len(spawned) == 2
         assert list(pooled) == list(serial) == list(by_node)
 
-        def sessions(batch):
-            return [
-                (
-                    report.node,
-                    report.peer,
-                    report.exploration.unique_paths,
-                    frozenset(f.dedup_key() for f in report.findings),
-                )
-                for report in batch.reports
-            ]
-
         for node, seeds in by_node.items():
             assert [r.peer for r in pooled[node].reports] == [p for p, _ in seeds]
-            assert sessions(pooled[node]) == sessions(serial[node])
+            assert self.sessions(pooled[node].reports) == self.sessions(
+                serial[node].reports
+            )

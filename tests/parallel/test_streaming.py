@@ -2,8 +2,8 @@
 
 The determinism tests implement the PR's acceptance requirement: for a
 fixed observed-seed sequence, the stream's harvested finding set equals
-``ParallelExplorer.explore_batch`` over the same seeds — with 1 worker,
-N workers, and the in-process serial fallback.
+the serial reference loop's (``reference.py``) over the same seeds —
+with 1 worker, N workers, and the in-process serial fallback.
 """
 
 import pytest
@@ -15,9 +15,11 @@ from repro.checkpoint.snapshot import Checkpoint
 from repro.concolic.engine import ExplorationBudget
 from repro.core.dice import DiCE
 from repro.core.schedule import OnlineScheduler, ScheduleConfig
-from repro.parallel import ParallelExplorer, PoolOptions, StreamingExplorer
+from repro.parallel import PoolOptions, StreamingExplorer
 from repro.util.errors import ExplorationError
 from repro.util.ip import Prefix, ip_to_int
+
+from reference import serial_batch
 
 P = Prefix.parse
 
@@ -55,9 +57,7 @@ class TestStreamDeterminism:
     def test_stream_equals_batch_all_modes(self, erroneous_scenario):
         """The acceptance contract: stream == batch, across all three modes."""
         seeds = erroneous_scenario.dice.batch_seeds(all_seeds=True)[:6]
-        batch = ParallelExplorer(workers=1).explore_batch(
-            erroneous_scenario.provider, seeds, budget=BUDGET
-        )
+        batch = serial_batch(erroneous_scenario.provider, seeds, budget=BUDGET)
         batch_outcome = (
             finding_keys(batch),
             batch.total_executions,
@@ -192,12 +192,14 @@ class TestEpochShipping:
         # The batch equivalent over the mutated router, same job index.
         from repro.parallel.worker import run_session_job
 
-        explorer = ParallelExplorer(workers=1)
-        jobs = explorer.build_jobs(
-            Checkpoint.capture(scenario.provider, "probe"), [probe], budget=BUDGET
-        )
-        jobs[0].index = 1  # align the per-job RNG derivation with the stream's
-        batch_probe = run_session_job(jobs[0])
+        from repro.parallel.options import EngineOptions
+        from repro.parallel.worker import SessionJob
+
+        batch_probe = run_session_job(SessionJob(
+            1,  # align the per-job RNG derivation with the stream's
+            Checkpoint.capture(scenario.provider, "probe"), *probe,
+            EngineOptions(budget=BUDGET),
+        ))
         assert {f.dedup_key() for f in stream_probe.findings} == {
             f.dedup_key() for f in batch_probe.findings
         }
