@@ -121,6 +121,31 @@ class TestSharedFederationPool:
         for node, sessions in report.per_as_sessions.items():
             assert sessions and all(s.node == node for s in sessions)
 
+    def test_a_batch_raises_on_a_lost_job_and_a_stream_keeps_the_hole(
+        self, tiered_built
+    ):
+        """``stream=`` decides what a job lost at dispatch does: a batch
+        promises every seed's session, a stream records the hole."""
+        from repro.util.errors import ExplorationError
+
+        class UnpicklableUpdate(UpdateMessage):
+            def __reduce__(self):
+                raise TypeError("deliberately unpicklable")
+
+        corpus = list(tiered_built.seed_corpus())
+        node, peer, update = corpus[0]
+        corpus[0] = (node, peer, UnpicklableUpdate(
+            attributes=update.attributes, nlri=list(update.nlri)
+        ))
+        federation = tiered_built.federation()
+        streamed = federation.explore(corpus, budget=BUDGET, workers=2, stream=True)
+        if not streamed.used_processes:
+            pytest.skip("no process workers on this host")
+        assert streamed.stream_summary["errors"] == 1
+        assert len(streamed.sessions) == len(corpus) - 1
+        with pytest.raises(ExplorationError, match="1 job"):
+            federation.explore(corpus, budget=BUDGET, workers=2)
+
     def test_stream_epochs_validation(self, tiered_built):
         from repro.util.errors import ExplorationError
 

@@ -190,10 +190,8 @@ class TestEpochShipping:
         stream_probe = report.reports_in_index_order()[-1]
 
         # The batch equivalent over the mutated router, same job index.
-        from repro.parallel.worker import run_session_job
-
         from repro.parallel.options import EngineOptions
-        from repro.parallel.worker import SessionJob
+        from repro.parallel.worker import SessionJob, run_session_job
 
         batch_probe = run_session_job(SessionJob(
             1,  # align the per-job RNG derivation with the stream's
