@@ -158,9 +158,16 @@ class AsPath:
             return True
         if not isinstance(other, AsPath):
             return NotImplemented
-        mine = [(s.kind, tuple(as_concrete_int(a) for a in s.asns)) for s in self.segments]
-        theirs = [(s.kind, tuple(as_concrete_int(a) for a in s.asns)) for s in other.segments]
-        return mine == theirs
+        # Compared on concrete values, so a symbolic ASN records nothing.
+        if len(self.segments) != len(other.segments):
+            return False
+        for mine, theirs in zip(self.segments, other.segments):
+            if mine.kind != theirs.kind or len(mine.asns) != len(theirs.asns):
+                return False
+            for a, b in zip(mine.asns, theirs.asns):
+                if as_concrete_int(a) != as_concrete_int(b):
+                    return False
+        return True
 
     def __hash__(self) -> int:
         return hash(

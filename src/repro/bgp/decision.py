@@ -129,15 +129,17 @@ def routes_equal(a: Optional[Route], b: Optional[Route]) -> bool:
     attrs_a, attrs_b = a.attributes, b.attributes
     if attrs_a is attrs_b:
         return True
-    def norm(value, default=None):
-        return default if value is None else as_concrete_int(value)
     return (
-        norm(attrs_a.origin) == norm(attrs_b.origin)
+        _concrete(attrs_a.origin) == _concrete(attrs_b.origin)
         and attrs_a.as_path == attrs_b.as_path
-        and norm(attrs_a.next_hop) == norm(attrs_b.next_hop)
-        and norm(attrs_a.med, 0) == norm(attrs_b.med, 0)
-        and norm(attrs_a.local_pref, DEFAULT_LOCAL_PREF)
-        == norm(attrs_b.local_pref, DEFAULT_LOCAL_PREF)
+        and _concrete(attrs_a.next_hop) == _concrete(attrs_b.next_hop)
+        and _concrete(attrs_a.med, 0) == _concrete(attrs_b.med, 0)
+        and _concrete(attrs_a.local_pref, DEFAULT_LOCAL_PREF)
+        == _concrete(attrs_b.local_pref, DEFAULT_LOCAL_PREF)
         and tuple(as_concrete_int(c) for c in attrs_a.communities)
         == tuple(as_concrete_int(c) for c in attrs_b.communities)
     )
+
+
+def _concrete(value, default=None):
+    return default if value is None else as_concrete_int(value)

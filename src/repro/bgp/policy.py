@@ -12,6 +12,15 @@ plain Python ``if``s over :class:`SymInt` values — every configured
 The language is a small BIRD-like policy core: prefix-set matching with
 length bounds, AS-path and community tests, attribute comparisons and
 modifications, and nested if/else.
+
+The same :class:`FilterInterpreter` runs for every route the live router
+imports or exports and for every explored execution on a clone, so its
+loop is kept cheap: a statement dispatches on its exact type, and a
+verdict travels back up the nested blocks as a return value.  A
+condition is still evaluated once, through ``bool(...)``, at the point
+the program reaches it, so a symbolic run records the same branches in
+the same order as any other faithful walk of the program
+(``tests/bgp/reference_policy.py`` holds one to compare against).
 """
 
 from __future__ import annotations
@@ -392,59 +401,57 @@ class FilterResult:
         return self.action == FilterAction.ACCEPT
 
 
-class _Verdict(Exception):
-    """Internal control flow: a terminal statement was executed."""
-
-    def __init__(self, action: FilterAction):
-        self.action = action
-
-
 class FilterInterpreter:
-    """Evaluates filter programs against route views."""
+    """Evaluates filter programs against route views.
+
+    A block returns the verdict it reached, or ``None`` while no
+    ``accept``/``reject`` has run (see the module docstring for why).
+    """
 
     def __init__(self, prefix_sets: Optional[Dict[str, PrefixSet]] = None):
         self.prefix_sets = dict(prefix_sets or {})
 
     def run(self, program: FilterProgram, view: RouteView) -> FilterResult:
         """Execute ``program`` on ``view``; the view is mutated by actions."""
-        try:
-            self._run_block(program.statements, view)
-        except _Verdict as verdict:
-            return FilterResult(verdict.action, view.to_attributes())
-        return FilterResult(FilterAction.REJECT, view.to_attributes(), fell_through=True)
+        action = self._run_block(program.statements, view)
+        if action is None:
+            return FilterResult(
+                FilterAction.REJECT, view.to_attributes(), fell_through=True
+            )
+        return FilterResult(action, view.to_attributes())
 
-    def _run_block(self, statements: Tuple[Statement, ...], view: RouteView) -> None:
+    def _run_block(
+        self, statements: Tuple[Statement, ...], view: RouteView
+    ) -> Optional[FilterAction]:
+        """Run ``statements`` in order; the verdict reached, or None."""
         for statement in statements:
-            self._run_statement(statement, view)
-
-    def _run_statement(self, statement: Statement, view: RouteView) -> None:
-        if isinstance(statement, Terminal):
-            raise _Verdict(statement.action)
-        if isinstance(statement, If):
-            if bool(statement.condition.evaluate(view, self.prefix_sets)):
-                self._run_block(statement.then_branch, view)
+            kind = type(statement)
+            if kind is Terminal:
+                return statement.action
+            if kind is If:
+                if bool(statement.condition.evaluate(view, self.prefix_sets)):
+                    action = self._run_block(statement.then_branch, view)
+                else:
+                    action = self._run_block(statement.else_branch, view)
+                if action is not None:
+                    return action
+            elif kind is SetAttr:
+                view.set_attribute(statement.attr, statement.value)
+            elif kind is AddCommunity:
+                if statement.value not in [as_concrete_int(c) for c in view.communities]:
+                    view.communities.append(statement.value)
+            elif kind is RemoveCommunity:
+                view.communities = [
+                    c for c in view.communities if as_concrete_int(c) != statement.value
+                ]
+            elif kind is Prepend:
+                path = view.as_path
+                for _ in range(statement.count):
+                    path = path.prepend(statement.asn)
+                view.as_path = path
             else:
-                self._run_block(statement.else_branch, view)
-            return
-        if isinstance(statement, SetAttr):
-            view.set_attribute(statement.attr, statement.value)
-            return
-        if isinstance(statement, AddCommunity):
-            if statement.value not in [as_concrete_int(c) for c in view.communities]:
-                view.communities.append(statement.value)
-            return
-        if isinstance(statement, RemoveCommunity):
-            view.communities = [
-                c for c in view.communities if as_concrete_int(c) != statement.value
-            ]
-            return
-        if isinstance(statement, Prepend):
-            path = view.as_path
-            for _ in range(statement.count):
-                path = path.prepend(statement.asn)
-            view.as_path = path
-            return
-        raise ConfigError(f"unknown statement {type(statement).__name__}")
+                raise ConfigError(f"unknown statement {kind.__name__}")
+        return None
 
 
 #: A filter that accepts everything — the "no policy" default.

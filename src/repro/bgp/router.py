@@ -221,7 +221,8 @@ class BgpRouter(SimNode):
         if session is None:
             self.counters.increment("messages_from_unknown_peer")
             return
-        if not self._fsm(session).on_update_allowed(self.now):
+        now = self.now
+        if not self._fsm(session).on_update_allowed(now):
             self.counters.increment("updates_out_of_establish")
             self._transmit(peer_id, NotificationMessage(5, 0))
             return
@@ -250,7 +251,7 @@ class BgpRouter(SimNode):
                         changed.append(prefix)
             else:
                 for entry in update.nlri:
-                    changed.extend(self._import_route(peer_id, entry, update))
+                    changed.extend(self._import_route(peer_id, entry, update, now))
 
         if changed:
             self._reconverge(changed)
@@ -263,9 +264,9 @@ class BgpRouter(SimNode):
             raise WireFormatError("missing AS_PATH", code=ERR_UPDATE_MESSAGE, subcode=3)
 
     def _import_route(
-        self, peer_id: str, entry: NlriEntry, update: UpdateMessage
+        self, peer_id: str, entry: NlriEntry, update: UpdateMessage, now: float
     ) -> List[Prefix]:
-        """Run import policy on one announced NLRI; returns changed prefixes."""
+        """Run import policy on one NLRI received at ``now``; returns changed prefixes."""
         view = RouteView.of(entry.network, entry.length, update.attributes)
         program = self.config.filter_named(self.sessions[peer_id].peer.import_filter)
         result = self.interpreter.run(program, view)
@@ -277,7 +278,7 @@ class BgpRouter(SimNode):
                 attributes=result.attributes,
                 peer=peer_id,
                 source=RouteSource.EBGP,
-                learned_at=self.now,
+                learned_at=now,
             )
             self.adj_rib_in.install(peer_id, route)
             return [prefix]

@@ -10,7 +10,9 @@ The same parsing code must run in two modes (paper section 3.2):
 
 :class:`Cursor` abstracts over both buffer kinds.  Reads used as lengths
 or offsets concretize through ``__index__`` — recorded as concretization
-constraints, keeping the path condition sound.
+constraints, keeping the path condition sound.  Fixed-width reads from
+concrete ``bytes`` take a direct path that never reaches the symbolic
+branch, since convergence decodes every delivered UPDATE through them.
 """
 
 from __future__ import annotations
@@ -84,23 +86,32 @@ class Cursor:
                 code=1, subcode=2,  # Message Header Error / Bad Message Length
             )
 
-    def read_u8(self) -> IntLike:
-        self._require(1)
-        value = self._field(self.position, 1)
-        self.position += 1
+    def _read(self, width: int) -> IntLike:
+        position = self.position
+        buffer = self.buffer
+        end = position + width
+        if end > len(buffer):
+            self._require(width)  # raises
+        if type(buffer) is bytes:
+            value = int.from_bytes(buffer[position:end], "big")
+        else:
+            value = self._field(position, width)
+        self.position = end
         return value
+
+    def read_u8(self) -> IntLike:
+        position = self.position
+        buffer = self.buffer
+        if type(buffer) is bytes and position < len(buffer):
+            self.position = position + 1
+            return buffer[position]
+        return self._read(1)
 
     def read_u16(self) -> IntLike:
-        self._require(2)
-        value = self._field(self.position, 2)
-        self.position += 2
-        return value
+        return self._read(2)
 
     def read_u32(self) -> IntLike:
-        self._require(4)
-        value = self._field(self.position, 4)
-        self.position += 4
-        return value
+        return self._read(4)
 
     def read_bytes(self, count: int) -> Buffer:
         count = int(count)  # concretizes a SymInt length (recorded)

@@ -6,6 +6,13 @@ arrives at the destination's ``on_message`` after the link latency.  Links
 can be taken down (session loss experiments) and can drop or reorder
 messages under a seeded RNG, but defaults are reliable in-order delivery —
 matching BGP-over-TCP semantics on the paper's testbed.
+
+Every UPDATE of a convergence crosses :meth:`Network.transmit`, so a
+send does no more than it must: the link is found under its directed
+``(src, dst)`` key, and the delivery is queued as a plain record for one
+shared handler (:meth:`repro.net.sim.Simulator.schedule_payload_at`),
+with no closure and no cancellable handle per message.  Deliveries run
+in the simulator's ``(time, sequence)`` order like any other event.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ class Network:
         self.sim = sim
         self._handlers: Dict[str, MessageHandler] = {}
         self._links: List[Link] = []
-        self._link_index: Dict[frozenset, Link] = {}
+        #: Each link under both of its directed ``(src, dst)`` keys, so a
+        #: send looks it up with the tuple it already has.
+        self._link_index: Dict[Tuple[str, str], Link] = {}
         self._watermark: Dict[Tuple[str, str], float] = {}
         self._rng = derive_rng(seed, "network-loss")
         self.total_messages = 0
@@ -85,16 +94,15 @@ class Network:
     ) -> Link:
         if a == b:
             raise SimulationError("self-links are not supported")
-        key = frozenset((a, b))
-        if key in self._link_index:
+        if (a, b) in self._link_index:
             raise SimulationError(f"link {a}<->{b} already exists")
         link = Link(a, b, latency, loss_rate)
         self._links.append(link)
-        self._link_index[key] = link
+        self._link_index[(a, b)] = self._link_index[(b, a)] = link
         return link
 
     def link_between(self, a: str, b: str) -> Optional[Link]:
-        return self._link_index.get(frozenset((a, b)))
+        return self._link_index.get((a, b))
 
     def set_link_state(self, a: str, b: str, up: bool) -> None:
         link = self.link_between(a, b)
@@ -110,8 +118,11 @@ class Network:
         Undeliverable means no link, link down, or (probabilistically) a
         configured loss — the caller treats all three as the network
         eating the message, as a real UDP/broken-TCP send would look.
+        A delivered message is one flat ``(src, dst, payload)`` record
+        for the shared :meth:`_deliver`.
         """
-        link = self.link_between(src, dst)
+        key = (src, dst)
+        link = self._link_index.get(key)
         if link is None:
             raise SimulationError(f"no link between {src!r} and {dst!r}")
         if not link.up:
@@ -122,24 +133,28 @@ class Network:
             return False
         if dst not in self._handlers:
             raise SimulationError(f"destination {dst!r} not attached")
-        link.stats.messages += 1
-        link.stats.bytes += len(payload)
+        size = len(payload)
+        stats = link.stats
+        stats.messages += 1
+        stats.bytes += size
         self.total_messages += 1
-        self.total_bytes += len(payload)
+        self.total_bytes += size
 
-        arrival = self.sim.now + link.latency
-        watermark_key = (src, dst)
-        arrival = max(arrival, self._watermark.get(watermark_key, 0.0))
-        self._watermark[watermark_key] = arrival
-        data = bytes(payload)
-
-        def deliver() -> None:
-            handler = self._handlers.get(dst)
-            if handler is not None:
-                handler(src, data)
-
-        self.sim.schedule_at(arrival, deliver)
+        sim = self.sim
+        arrival = sim.now + link.latency
+        watermark = self._watermark.get(key, 0.0)
+        if watermark > arrival:
+            arrival = watermark
+        self._watermark[key] = arrival
+        sim.schedule_payload_at(arrival, self._deliver, (src, dst, bytes(payload)))
         return True
+
+    def _deliver(self, record: Tuple[str, str, bytes]) -> None:
+        """The one delivery handler every in-flight message shares."""
+        src, dst, data = record
+        handler = self._handlers.get(dst)
+        if handler is not None:
+            handler(src, data)
 
     def neighbors(self, node_id: str) -> List[str]:
         """Ids of nodes sharing a link with ``node_id``."""

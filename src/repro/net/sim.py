@@ -14,9 +14,11 @@ representation is deliberately flat: each heap entry is a plain list
 comparison never reaches the callback because ``seq`` is unique.
 :meth:`schedule_batch` is the bulk fast path: it enqueues many
 deliveries for one shared handler without allocating an
-:class:`EventHandle` (batch deliveries are uncancellable by contract),
-and :attr:`pending` is a maintained live-event counter rather than a
-scan over the heap's cancellation tombstones.
+:class:`EventHandle` (batch deliveries are uncancellable by contract);
+:meth:`schedule_payload_at` is the same entry shape for one message at
+an absolute time, the live network's send path.  :attr:`pending` is a
+maintained live-event counter rather than a scan over the heap's
+cancellation tombstones.
 """
 
 from __future__ import annotations
@@ -106,6 +108,25 @@ class Simulator:
         heapq.heappush(self._queue, entry)
         self._live += 1
         return EventHandle(entry, self)
+
+    def schedule_payload_at(
+        self, when: float, handler: Callable[[object], None], payload: object
+    ) -> None:
+        """Run ``handler(payload)`` at absolute simulated time ``when``.
+
+        The single-message form of :meth:`schedule_batch`: a shared
+        handler and a flat payload instead of a closure, and no
+        :class:`EventHandle`, so the delivery cannot be cancelled.  It is
+        how :meth:`repro.net.channel.Network.transmit` puts a message on
+        the wire.  ``payload`` must not be None: that slot value marks a
+        no-argument callback.
+        """
+        if when < self._now:
+            raise SimulationError(f"cannot schedule at {when} < now {self._now}")
+        heapq.heappush(
+            self._queue, [when, next(self._sequence), handler, _LIVE, payload]
+        )
+        self._live += 1
 
     def schedule_batch(
         self,

@@ -51,7 +51,14 @@ class CounterRegistry:
         return self._counters[name]
 
     def increment(self, name: str, amount: int = 1) -> None:
-        self.counter(name).increment(amount)
+        # In place rather than through counter()/Counter.increment: the
+        # router bumps several counters per delivered message.
+        if amount < 0:
+            raise ValueError("counters only increase; use a gauge for decrements")
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        counter.value += amount
 
     def __getitem__(self, name: str) -> int:
         return self._counters[name].value if name in self._counters else 0

@@ -4,7 +4,9 @@ The interpreter is the cornerstone of the paper's code+configuration
 coverage claim, so it gets its own robustness properties: randomly
 generated filter ASTs never crash, evaluate deterministically, and agree
 between concrete and symbolic evaluation (the concolic engine sees the
-same accept/reject decisions production does).
+same accept/reject decisions production does).  On symbolic inputs the
+interpreter must also record exactly the branches the exception-based
+reference in ``reference_policy.py`` records, in the same order.
 """
 
 import pytest
@@ -36,6 +38,8 @@ from repro.bgp.policy import (
 from repro.concolic import trace
 from repro.concolic.symbolic import SymInt
 from repro.util.ip import Prefix
+
+from reference_policy import ReferenceInterpreter
 
 # ---------------------------------------------------------------------------
 # Random AST generation.
@@ -126,6 +130,26 @@ def clone_view(view: RouteView) -> RouteView:
     return RouteView.of(view.network, view.length, view.to_attributes())
 
 
+def symbolic_view(view: RouteView) -> RouteView:
+    """``view`` with its network and length as fresh SymInt inputs."""
+    return RouteView.of(
+        SymInt.variable("net", int(view.network)),
+        SymInt.variable("len", int(view.length), bits=6),
+        view.to_attributes(),
+    )
+
+
+def traced_run(interpreter, program, view):
+    """The result of a traced run and its path condition, branch by branch."""
+    with trace() as recorder:
+        result = interpreter.run(program, symbolic_view(view))
+    path = [
+        (branch.constraint, branch.taken, branch.is_concretization)
+        for branch in recorder.path
+    ]
+    return result, path
+
+
 class TestInterpreterProperties:
     @settings(max_examples=120, deadline=None)
     @given(programs, route_views)
@@ -167,6 +191,22 @@ class TestInterpreterProperties:
         env = {"net": int(view.network), "len": int(view.length)}
         for constraint in recorder.path.held_constraints():
             assert bool(constraint.evaluate(env))
+
+    @settings(max_examples=200, deadline=None)
+    @given(programs, route_views)
+    def test_records_the_reference_interpreters_branches(self, program, view):
+        """Same verdict, same attributes, same path condition as the reference.
+
+        The explored handler runs this interpreter on symbolic routes, so
+        a change to how it walks a program is only safe if every branch
+        it records, and the order it records them in, is unchanged.
+        """
+        result, path = traced_run(FilterInterpreter(), program, view)
+        expected, expected_path = traced_run(ReferenceInterpreter(), program, view)
+        assert result == expected
+        assert len(path) == len(expected_path)
+        for branch, expected_branch in zip(path, expected_path):
+            assert branch == expected_branch
 
     @settings(max_examples=60, deadline=None)
     @given(programs, route_views)

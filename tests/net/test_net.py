@@ -125,6 +125,18 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_batch([(1.0, "ok"), (-0.5, "bad")], lambda p: None)
 
+    def test_schedule_payload_at_orders_by_time_then_sequence(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(1.0, lambda: order.append("classic"))
+        sim.schedule_payload_at(1.0, order.append, "payload")
+        sim.schedule_payload_at(0.5, order.append, "early")
+        assert sim.pending == 3
+        sim.run()
+        assert order == ["early", "classic", "payload"]
+        with pytest.raises(SimulationError):
+            sim.schedule_payload_at(0.5, order.append, "past")
+
     def test_schedule_batch_payloads_survive_step(self):
         sim = Simulator()
         seen = []

@@ -4,7 +4,8 @@ The acceptance pin for the resilience PR lives here: under a chaos plan
 that kills one worker mid-stream and hangs another past its deadline
 (``kill-and-hang``), the stream completes, the pool returns to its full
 worker count (restarts counted), no job is lost, and ``finding_keys()``
-is identical to the serial run.  The federation-level parity suite in
+is identical to the plain serial loop in ``reference.py``.  The
+federation-level parity suite in
 ``tests/core/test_federation_chaos.py`` repeats the parity half on the
 line-3 and tiered-8 topologies.
 """
@@ -33,6 +34,8 @@ from repro.parallel.chaos import CHAOS_KINDS
 from repro.parallel.jobs import StreamJob
 from repro.parallel.options import EngineOptions
 from repro.parallel.transport import MSG_JOB, _ProcessWorker
+
+from reference import serial_batch
 
 BUDGET = ExplorationBudget(max_executions=10)
 
@@ -64,10 +67,9 @@ def seeds(erroneous_scenario):
 
 @pytest.fixture(scope="module")
 def serial_keys(erroneous_scenario, seeds):
-    stream = open_stream(
-        erroneous_scenario.provider, seeds, workers=1, force_serial=True
-    )
-    report = stream.close()
+    # The reference is the plain in-process loop, not the engine run
+    # inline: chaos parity then compares the pool against independent code.
+    report = serial_batch(erroneous_scenario.provider, seeds, budget=BUDGET)
     assert not report.errors
     return finding_keys(report)
 
