@@ -149,7 +149,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
 def _stream_progress(report) -> None:
     """The periodic streaming status line.
 
-    Seeds drained / findings, plus the cross-worker solver view: hit
+    Seeds drained / findings, plus the solver view summed over workers: hit
     rates for all three cache layers (exact-key, semantic subsumption,
     propagate memo) and the per-stage time split (key computation,
     screening, interval propagation, hint check, linear inversion,
@@ -170,8 +170,7 @@ def _stream_progress(report) -> None:
         if seconds > 0
     )
     # Resilience counters appear only once something went wrong (and was
-    # survived): restarts/hangs/retries/quarantines from the supervisor,
-    # degraded shard count from the shared-cache liveness probe.
+    # survived): restarts/hangs/retries/quarantines from the supervisor.
     resilience = ""
     recoveries = (
         report.workers_restarted
@@ -185,11 +184,6 @@ def _stream_progress(report) -> None:
             f" hangs {report.hangs_detected}"
             f" retries {report.jobs_retried}"
             f" quarantined {len(report.quarantined)}"
-        )
-    if report.degraded_shards:
-        resilience += (
-            f" | cache degraded "
-            f"{report.degraded_shards}/{report.cache_shards} shards"
         )
     # Pool size is live under autoscale (peak shown once it diverges).
     pool = ""
@@ -369,7 +363,6 @@ def _explore_federated(args: argparse.Namespace, engine, pool) -> int:
         + summary.get("hangs_detected", 0)
         + summary.get("jobs_retried", 0)
         + summary.get("jobs_quarantined", 0)
-        + summary.get("degraded_shards", 0)
     )
     if pool.chaos is not None or recoveries:
         _print_resilience(summary, pool.chaos)
@@ -398,8 +391,6 @@ def _print_resilience(summary: dict, chaos) -> None:
         f" | hangs {summary.get('hangs_detected', 0)}"
         f" | retries {summary.get('jobs_retried', 0)}"
         f" | quarantined {summary.get('jobs_quarantined', 0)}"
-        f" | cache degraded {summary.get('degraded_shards', 0)}/"
-        f"{summary.get('cache_shards', 0)} shards"
     )
     for event in summary.get("chaos_events", []):
         print(f"    chaos: {event}")

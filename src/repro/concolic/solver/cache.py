@@ -40,10 +40,11 @@ been solved under; on an exact miss the solver probes it and can reuse
   required to be schedule-independent (see
   ``ConstraintSolver.semantic_model_reuse``).
 
-This module defines the *hook* (key functions, protocol, and an
-in-process implementation).  The cross-process shared implementation
-lives in :mod:`repro.parallel.cache`, keeping the solver layer free of
-multiprocessing concerns.
+This module defines the *hook* (key functions, protocol) and the one
+implementation, :class:`DictConstraintCache`: every session runs against
+an in-process memo, and each pool worker keeps its own (a forked worker
+inherits an empty one), so the solver layer has no multiprocessing
+concerns.
 """
 
 from __future__ import annotations

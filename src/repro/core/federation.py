@@ -20,7 +20,7 @@ This module implements that sketch on our substrates:
 * per-AS concolic exploration is dispatched through the parallel
   machinery (:meth:`FederatedExploration.explore`), so a generated
   federation of N ASes explores with the same single worker pool,
-  shared constraint cache, and determinism guarantees as a single
+  per-worker constraint caches, and determinism guarantees as a single
   node's batch;
 * system-wide checks then run over the clone ensemble, using only the
   privacy-preserving digests of :mod:`repro.core.privacy` for
@@ -580,7 +580,7 @@ class FederatedExploration:
     * :meth:`explore` — the scenario-scale version: a whole seed corpus
       is first explored concolically *per AS* on one
       :class:`~repro.parallel.stream.StreamingExplorer` (one worker
-      pool and constraint cache across all ASes), then every seed is
+      pool across all ASes), then every seed is
       injected into one fabric for the system-wide wave and digest
       check.
 

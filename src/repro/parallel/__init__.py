@@ -15,10 +15,11 @@ supplies the throughput half of that story — one engine, the stream:
   fed to that pool and closed: on one inline worker for one worker, on
   worker processes past it; it hands the reports back in submission
   order and raises if any seed went unexplored;
-* a shared constraint-result cache (:mod:`repro.parallel.cache`) keyed
-  by canonicalized path condition avoids re-solving identical negations
-  across workers — a plain dict in process, sharded across manager
-  processes for the pool;
+* each worker keeps its own constraint-result memo
+  (:class:`~repro.concolic.solver.cache.DictConstraintCache`), keyed by
+  canonicalized path condition, so a worker never re-solves a negation
+  it already solved; one worker's view is scoped per tenant
+  (:class:`TenantCacheView`) when the pool serves several federations;
 * the stream's inline worker stands in for worker processes on hosts
   where subprocesses are unavailable, producing bit-identical results;
 * every entry point is configured by the same two frozen records
@@ -34,12 +35,6 @@ set is the same with 1 worker, N workers, or the inline worker, and
 the same again whether the seeds arrived as a batch or a stream.
 """
 
-from repro.parallel.cache import (
-    ShardedConstraintCache,
-    TenantCacheView,
-    shutdown_cache_managers,
-    start_sharded_cache,
-)
 from repro.parallel.chaos import (
     CHAOS_PLANS,
     ChaosDirective,
@@ -53,7 +48,7 @@ from repro.parallel.options import EngineOptions, PoolOptions
 from repro.parallel.pool import PoolAutoscaler, WorkerSupervisor
 from repro.parallel.reports import QuarantinedJob, StreamReport
 from repro.parallel.stream import StreamingExplorer, explore_batch
-from repro.parallel.transport import stream_worker_main
+from repro.parallel.transport import TenantCacheView, stream_worker_main
 from repro.parallel.worker import ProgressBeacon, SessionJob, run_session_job
 
 __all__ = [
@@ -68,7 +63,6 @@ __all__ = [
     "ProgressBeacon",
     "QuarantinedJob",
     "SessionJob",
-    "ShardedConstraintCache",
     "StreamJob",
     "StreamReport",
     "StreamingExplorer",
@@ -78,7 +72,5 @@ __all__ = [
     "get_chaos_plan",
     "list_chaos_plans",
     "run_session_job",
-    "shutdown_cache_managers",
-    "start_sharded_cache",
     "stream_worker_main",
 ]

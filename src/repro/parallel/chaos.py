@@ -5,9 +5,8 @@ until the worst possible moment.  This module makes every recovery path
 in :class:`~repro.parallel.stream.StreamingExplorer` exercisable *on
 purpose*: a :class:`ChaosPlan` schedules faults against the stream's own
 dispatch clock — "kill worker 0 after the 2nd job", "make the 4th job
-hang for 30s", "shut down the cache managers after the 3rd job" — so a
-test or a CI smoke run replays the exact same failure at the exact same
-point every time.
+hang for 30s" — so a test or a CI smoke run replays the exact same
+failure at the exact same point every time.
 
 Determinism is the design constraint, matching the rest of the repo:
 
@@ -21,8 +20,8 @@ Determinism is the design constraint, matching the rest of the repo:
   session run — the session itself is untouched, so a recovered job's
   report is bit-identical to an unfaulted run (the parity tests pin
   this);
-* coordinator-side faults (kill worker, kill cache managers) fire
-  synchronously inside dispatch, not from a timer thread.
+* the coordinator-side fault (kill worker) fires synchronously inside
+  dispatch, not from a timer thread.
 
 A directive is one-shot by default: the coordinator strips it when it
 re-dispatches the job after killing the hung worker, so the retry runs
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 #: Every fault kind a :class:`ChaosEvent` can schedule.
-CHAOS_KINDS = ("kill-worker", "hang-job", "drop-result", "kill-cache")
+CHAOS_KINDS = ("kill-worker", "hang-job", "drop-result")
 
 #: Event kinds that ride inside the job rather than firing at dispatch.
 _ATTACHED_KINDS = ("hang-job", "drop-result")
@@ -123,9 +122,7 @@ class ChaosEvent:
         if self.kind == "hang-job":
             sticky = " (sticky)" if self.sticky else ""
             return f"hang job {self.at_job} for {self.seconds:g}s{sticky}"
-        if self.kind == "drop-result":
-            return f"drop result of job {self.at_job}"
-        return f"kill cache managers after job {self.at_job}"
+        return f"drop result of job {self.at_job}"
 
 
 @dataclass(frozen=True)
@@ -200,11 +197,6 @@ CHAOS_PLANS: Dict[str, ChaosPlan] = {
             "swallow the 2nd job's result; deadline sweep must re-dispatch it",
             [ChaosEvent(kind="drop-result", at_job=2)],
             job_deadline=1.0,
-        ),
-        _plan(
-            "kill-cache-manager",
-            "shut the cache shard managers down mid-stream; solves degrade to L1",
-            [ChaosEvent(kind="kill-cache", at_job=2)],
         ),
         _plan(
             "poison-job",

@@ -297,9 +297,10 @@ class WorkerPool:
     ``workers`` is homogeneous — process workers, or one in-process
     worker — plus, on demand, ``fallback``: the in-process worker dead
     workers' jobs are re-run on.  Every one of them is built with
-    ``engine``, the shared cache and — but for ``fallback``, to which
-    each salvaged job brings its own — whatever ``templates`` returns:
-    the retained checkpoint templates, inherited by a forked worker.
+    ``engine``, the cache (a forked worker keeps its own copy) and — but
+    for ``fallback``, to which each salvaged job brings its own —
+    whatever ``templates`` returns: the retained checkpoint templates,
+    inherited by a forked worker.
     """
 
     def __init__(

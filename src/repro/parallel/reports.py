@@ -96,11 +96,6 @@ class StreamReport:
     quarantined: List[QuarantinedJob] = field(default_factory=list)
     #: Human-readable log of injected chaos faults as they fired.
     chaos_events: List[str] = field(default_factory=list)
-    #: Shared-cache shard liveness, refreshed by the coordinator's probe
-    #: (0 shards means no sharded cache was in play).
-    cache_shards: int = 0
-    degraded_shards: int = 0
-    cache_degraded_ops: int = 0
     #: Service mode: the pool-size timeline.  ``pool_size`` is the
     #: current dispatchable worker count; high/low water track the
     #: extremes over the stream's life; ``resize_events`` is the
@@ -271,8 +266,6 @@ class StreamReport:
                 "jobs_quarantined": len(self.quarantined),
                 "quarantined": [q.describe() for q in self.quarantined],
                 "chaos_events": list(self.chaos_events),
-                "cache_shards": self.cache_shards,
-                "degraded_shards": self.degraded_shards,
                 "errors": len(self.errors),
                 "checkpoint_bytes_shipped": self.checkpoint_bytes_shipped,
                 "checkpoint_bytes_per_job": round(self.checkpoint_bytes_per_job),

@@ -38,7 +38,6 @@ from repro.bgp.messages import UpdateMessage
 from repro.bgp.router import BgpRouter
 from repro.concolic.solver.cache import DictConstraintCache
 from repro.core.report import SessionReport
-from repro.parallel.cache import shutdown_cache_managers, start_sharded_cache
 from repro.parallel.chaos import HIGHEST_SLOT, ChaosDirective
 from repro.parallel.dispatch import SeedRotation
 from repro.parallel.images import ImageStore
@@ -194,8 +193,6 @@ class StreamingExplorer:
         #: First-dispatch counter driving the chaos clock (retries and
         #: salvage re-runs do not advance it).
         self._chaos_clock = 0
-        self._cache = None
-        self._cache_managers: list = []
         self._started = False
         self._closed = False
         self._started_at = 0.0
@@ -235,12 +232,15 @@ class StreamingExplorer:
                 ) from exc
         self._started_at = time.perf_counter()
         self._register_tenant(tenant, live_routers)
-        self._setup_cache(multiprocess=not options.force_serial)
+        # Each worker keeps its own memo: a forked worker inherits a copy
+        # of this empty cache.  A query another worker already solved is
+        # solved again, which is safe, since a hit equals a local solve.
+        cache = DictConstraintCache() if options.constraint_cache else None
         initial = options.workers
         if self._pool.autoscaler is not None:
             initial = min(initial, self._pool.autoscaler.min_workers)
         self._pool.start(
-            initial, self._cache, inline=options.force_serial, now=self._clock()
+            initial, cache, inline=options.force_serial, now=self._clock()
         )
         if options.chaos is not None and not self.report.used_processes:
             # An inline pool would execute injected hangs for real (the
@@ -360,22 +360,6 @@ class StreamingExplorer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _setup_cache(self, multiprocess: bool) -> None:
-        if not self.pool_options.constraint_cache:
-            return
-        if multiprocess:
-            shards = min(4, self.pool_options.workers)
-            try:
-                self._cache, self._cache_managers = start_sharded_cache(shards)
-                self.report.cache_shards = shards
-                return
-            except (OSError, PermissionError):
-                # No manager processes available: per-process L1-only is
-                # still correct (a miss is always safe), so degrade to a
-                # local dict each worker deep-copies at spawn.
-                self._cache_managers = []
-        self._cache = DictConstraintCache()
 
     # -- seed intake ---------------------------------------------------------
 
@@ -683,38 +667,6 @@ class StreamingExplorer:
                 if target in live:
                     live[target].crash()
                     self.report.chaos_events.append(event.describe())
-            elif event.kind == "kill-cache":
-                self._kill_cache_managers()
-                self.report.chaos_events.append(event.describe())
-                self._refresh_cache_health()
-
-    def _kill_cache_managers(self) -> None:
-        """Abruptly kill the shard manager processes (chaos only)."""
-        for manager in self._cache_managers:
-            process = getattr(manager, "_process", None)
-            try:
-                if process is not None:
-                    process.terminate()
-                    process.join(1.0)
-                else:  # pragma: no cover - manager without a process
-                    manager.shutdown()
-            except Exception:  # pragma: no cover
-                pass
-
-    def _refresh_cache_health(self) -> None:
-        """Pull shard liveness from the cache into the report."""
-        info_fn = getattr(self._cache, "info", None)
-        if info_fn is None:
-            return
-        try:
-            info = info_fn()
-        except Exception:  # pragma: no cover - cache wholly unreachable
-            return
-        if "shards" not in info:
-            return  # in-process dict cache: nothing shard-shaped to report
-        self.report.cache_shards = int(info.get("shards", 0))
-        self.report.degraded_shards = int(info.get("degraded_shards", 0))
-        self.report.cache_degraded_ops = int(info.get("degraded_ops", 0))
 
     # -- supervision ---------------------------------------------------------
 
@@ -1003,7 +955,6 @@ class StreamingExplorer:
             if progress is not None and (
                 self._clock() - last_progress >= progress_interval
             ):
-                self._refresh_cache_health()
                 progress(self.report)
                 last_progress = self._clock()
             if deadline is not None and self._clock() > deadline:
@@ -1012,20 +963,16 @@ class StreamingExplorer:
                     f"in flight and {self.pending_seeds} seeds pending"
                 )
         if progress is not None:
-            self._refresh_cache_health()
             progress(self.report)
         return self.report
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> StreamReport:
-        """Drain (by default), stop the workers, release the cache managers."""
+        """Drain (by default) and stop the workers."""
         if self._closed:
             return self.report
         if self._started and drain:
             self.drain(timeout=timeout)
-        self._refresh_cache_health()
         self._pool.stop()
-        shutdown_cache_managers(self._cache_managers)
-        self._cache_managers = []
         if self._started:
             self.report.wall_seconds = time.perf_counter() - self._started_at
         for treport in self._tenant_reports.values():

@@ -11,16 +11,19 @@ and it is where a dead worker's jobs are re-run.  Both are a
 :class:`_WorkerHandle`; the coordinator never asks which one it holds.
 
 A worker is built with the run's
-:class:`~repro.parallel.options.EngineOptions`, the shared cache and the
-coordinator's retained checkpoint templates — a process worker receives
-all three as process arguments, so under ``fork`` it inherits them
-copy-on-write and nothing is serialized.  From then on its only inputs
+:class:`~repro.parallel.options.EngineOptions`, a constraint cache and
+the coordinator's retained checkpoint templates — a process worker
+receives all three as process arguments, so under ``fork`` it inherits
+them copy-on-write and nothing is serialized.  The cache is then the
+worker's own memo: entries it solves stay in its process, and a query
+another worker already solved is simply solved again (a miss is always
+safe, and a hit equals a local solve).  From then on its only inputs
 are messages.
 
 The protocol is node-aware: every job names its federation node and a
 worker holds a ``{(node, epoch): template}`` table, so *one* pool serves
 every AS of every tenant (a job's tenant scopes the worker's view
-of the shared constraint cache).
+of its constraint cache, :class:`TenantCacheView`).
 
 **One image ledger.**  ``handle.images`` is what the coordinator knows
 to be resident behind a handle: it starts as the keys of the templates
@@ -36,16 +39,28 @@ the ledger cannot drift from the worker's table.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import pickle
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Deque,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.checkpoint.delta import TemplatePatch
 from repro.checkpoint.snapshot import Checkpoint
+from repro.concolic.solver.cache import CacheEntry
+from repro.concolic.solver.intervals import Interval
 from repro.core.report import SessionReport
-from repro.parallel.cache import TenantCacheView
 from repro.parallel.jobs import ImageKey, StreamJob, plain_node, tenant_of
 from repro.parallel.options import EngineOptions
 from repro.parallel.worker import ProgressBeacon, SessionJob, run_session_job
@@ -74,6 +89,55 @@ def _superseded(
         key for key in resident
         if key[0] == node and key != shipped and key[1] not in keep
     ]
+
+
+class TenantCacheView:
+    """A tenant-scoped facade over a worker's constraint cache.
+
+    When one streaming pool serves several federations (service mode),
+    one worker runs every tenant's jobs against its one cache, but two
+    tenants exploring different topologies must never read each other's
+    entries, even if a query key happens to collide.  The view appends a
+    per-tenant digest to every key before delegating, so each tenant
+    sees a disjoint slice of the same store.
+
+    Everything that is not a keyed operation (``hits``, ``info()``)
+    passes through to the underlying cache.
+    """
+
+    def __init__(self, cache, tenant: str) -> None:
+        if not tenant:
+            raise ValueError("tenant must be a non-empty string")
+        self._cache = cache
+        self.tenant = tenant
+        self._suffix = hashlib.blake2b(
+            tenant.encode("utf-8"), digest_size=8
+        ).digest()
+
+    def _scoped(self, key: bytes) -> bytes:
+        return key + self._suffix
+
+    def get(self, key: bytes) -> Optional[CacheEntry]:
+        return self._cache.get(self._scoped(key))
+
+    def put(self, key: bytes, entry: CacheEntry) -> None:
+        self._cache.put(self._scoped(key), entry)
+
+    def get_semantic(self, key: bytes) -> Sequence:
+        return self._cache.get_semantic(self._scoped(key))
+
+    def put_semantic(
+        self, key: bytes, domains: Dict[str, Interval], entry: CacheEntry
+    ) -> None:
+        self._cache.put_semantic(self._scoped(key), domains, entry)
+
+    def __getattr__(self, name: str):
+        # Counters and anything else unkeyed come from the cache
+        # underneath.  Dunder lookups (pickle protocol probes) must
+        # resolve on the view itself, never the delegate.
+        if name.startswith("__") and name.endswith("__"):
+            raise AttributeError(name)
+        return getattr(self._cache, name)
 
 
 class _WorkerState:

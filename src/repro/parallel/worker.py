@@ -12,9 +12,11 @@ carries them.
 Workers build their *own* engine, solver, checkers, and strategy from
 the options rather than receiving live objects: every stateful
 component is private to the session, which is what makes results
-independent of how jobs are scheduled onto processes.  The one shared
-object — the constraint cache — is safe to share because cached entries
-are bit-identical to a local solve (see :mod:`repro.parallel.cache`).
+independent of how jobs are scheduled onto processes.  The one object
+a session shares — its worker's constraint cache, which every session
+that worker runs reads and fills — is safe to share because cached
+entries are bit-identical to a local solve (see
+:mod:`repro.concolic.solver.cache`).
 
 Expression transport: any :class:`~repro.concolic.expr.Expr` crossing
 the process boundary (crash records keep their path conditions, options
@@ -109,9 +111,9 @@ class SessionJob:
 
 def run_session_job(job: SessionJob) -> SessionReport:
     """Execute one full DiCE session; the worker-process entry point."""
-    # A private solver wired to the (optional) shared cache.
+    # A private solver wired to the worker's (optional) cache.
     # ``deterministic_rng`` keeps the solver a pure function of each
-    # query, so shared-cache entries equal local solves — the invariant
+    # query, so cached entries equal local solves — the invariant
     # behind worker-count-independent results.
     solver = ConstraintSolver(cache=job.cache, deterministic_rng=True)
     engine = ConcolicEngine(solver=solver, keep_results=False)

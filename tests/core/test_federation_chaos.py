@@ -1,10 +1,10 @@
 """Finding-set parity under chaos, at federation scale.
 
 Satellite pin for the resilience PR: ``finding_keys()`` is identical
-across serial / stream / stream-with-{worker-kill, worker-hang,
-cache-manager-kill} on the line-3 and tiered-8 topologies.  Every
-registered non-quarantining plan must be recovery-lossless — the chaos
-harness exists precisely so this invariant is *executed*, not assumed.
+across serial / stream / stream-with-{worker-kill, worker-hang} on the
+line-3 and tiered-8 topologies.  Every registered non-quarantining plan
+must be recovery-lossless — the chaos harness exists precisely so this
+invariant is *executed*, not assumed.
 """
 
 import pytest
@@ -16,8 +16,8 @@ from repro.util.errors import ExplorationError
 
 BUDGET = ExplorationBudget(max_executions=4)
 
-#: The non-quarantining plans the satellite names: kill, hang, cache-kill.
-PARITY_PLANS = ("kill-one-worker", "hang-one-worker", "kill-cache-manager")
+#: The non-quarantining plans the satellite names: kill, hang.
+PARITY_PLANS = ("kill-one-worker", "hang-one-worker")
 
 
 def _built(name):
@@ -91,11 +91,6 @@ class TestTiered8ChaosParity:
         summary = report.stream_summary
         assert summary["jobs_quarantined"] == 0
         assert summary["chaos_events"]
-
-    def test_cache_degradation_is_surfaced(self, tiered_built):
-        report = _explore_with_chaos(tiered_built, "kill-cache-manager")
-        summary = report.stream_summary
-        assert summary["degraded_shards"] == summary["cache_shards"]
 
 
 class TestChaosRequiresTheSharedStreamPool:

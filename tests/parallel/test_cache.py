@@ -142,41 +142,3 @@ class TestDictConstraintCache:
         assert info["hits"] == 1
         assert info["misses"] == 1
         assert info["evictions"] == 0
-
-
-class TestSharedConstraintCache:
-    def test_l1_fronts_shared_dict(self):
-        from repro.parallel.cache import ShardedConstraintCache
-
-        cache = ShardedConstraintCache([{}])  # a plain dict quacks like the proxy
-        cache.put(b"k", ("unsat",))
-        assert cache.get(b"k") == ("unsat",)
-        assert cache.hits == 1
-
-    def test_pickling_drops_local_layer(self):
-        from repro.parallel.cache import ShardedConstraintCache
-
-        cache = ShardedConstraintCache([{}])
-        cache.put(b"k", ("unsat",))
-        clone = pickle.loads(pickle.dumps(cache))
-        # The shared layer travelled (here: by value, being a plain dict);
-        # the L1 and its counters reset per process.
-        assert clone.hits == 0 and len(clone._local) == 0
-        assert clone.get(b"k") == ("unsat",)
-
-    def test_survives_dead_manager(self):
-        from repro.parallel.cache import (
-            shutdown_cache_managers,
-            start_sharded_cache,
-        )
-
-        cache, managers = start_sharded_cache(1)
-        try:
-            cache.put(b"k", ("unknown",))
-            assert cache.get(b"k") == ("unknown",)
-        finally:
-            shutdown_cache_managers(managers)
-        # Manager gone: reads degrade to the L1, writes don't raise.
-        assert cache.get(b"k") == ("unknown",)
-        cache.put(b"j", ("unsat",))
-        assert cache.shared_size() == 0

@@ -1,4 +1,4 @@
-"""Resilience-layer tests: chaos plans, the supervisor, degraded caches.
+"""Resilience-layer tests: chaos plans and the supervisor.
 
 The acceptance pin for the resilience PR lives here: under a chaos plan
 that kills one worker mid-stream and hangs another past its deadline
@@ -11,7 +11,6 @@ line-3 and tiered-8 topologies.
 """
 
 import multiprocessing
-import pickle
 import time
 
 import pytest
@@ -27,8 +26,6 @@ from repro.parallel import (
     WorkerSupervisor,
     get_chaos_plan,
     list_chaos_plans,
-    shutdown_cache_managers,
-    start_sharded_cache,
 )
 from repro.parallel.chaos import CHAOS_KINDS
 from repro.parallel.jobs import StreamJob
@@ -202,69 +199,6 @@ class TestWorkerSupervisor:
             WorkerSupervisor(backoff=1.0, backoff_cap=0.5)
 
 
-class TestCacheDegradation:
-    def test_healthy_info_shape(self):
-        cache, managers = start_sharded_cache(2)
-        try:
-            assert len(managers) == 2
-            cache.put(bytes([0, 1]), ("model", False))
-            cache.put(bytes([1, 1]), ("model", False))
-            info = cache.info()
-            assert info["shards"] == 2
-            assert info["alive_shards"] == 2
-            assert info["degraded_shards"] == 0
-            assert not info["degraded"]
-            assert [s["alive"] for s in info["per_shard"]] == [True, True]
-            assert sum(s["entries"] for s in info["per_shard"]) == 2
-        finally:
-            shutdown_cache_managers(managers)
-
-    def test_dead_shard_degrades_to_l1_and_is_tracked(self):
-        cache, managers = start_sharded_cache(2)
-        try:
-            key0, key1 = bytes([0, 7]), bytes([1, 7])
-            cache.put(key0, ("m0", False))
-            cache.put(key1, ("m1", False))
-            # A worker's view: same shards, empty L1 (pickle round-trip
-            # before the kill so the proxies are already connected).
-            clone = pickle.loads(pickle.dumps(cache))
-            managers[0]._process.terminate()
-            managers[0]._process.join(2.0)
-
-            assert clone.get(key0) is None          # dead shard -> miss
-            assert clone.degraded
-            assert clone.degraded_shards == 1
-            assert clone.degraded_ops >= 1
-            clone.put(key0, ("m0", False))          # skipped, counted
-            assert clone.degraded_ops >= 2
-            assert clone.get(key0) == ("m0", False)  # L1 still serves
-            assert clone.get(key1) == ("m1", False)  # live shard untouched
-
-            info = clone.info()
-            assert info["degraded"] and info["degraded_shards"] == 1
-            assert info["per_shard"][0]["alive"] is False
-            assert info["per_shard"][0]["entries"] is None
-            assert info["per_shard"][1]["alive"] is True
-        finally:
-            shutdown_cache_managers(managers)
-
-    def test_shared_size_marks_dead_shards(self):
-        cache, managers = start_sharded_cache(2)
-        try:
-            clone = pickle.loads(pickle.dumps(cache))
-            managers[1]._process.terminate()
-            managers[1]._process.join(2.0)
-            clone.shared_size()
-            assert clone.degraded_shards == 1
-        finally:
-            shutdown_cache_managers(managers)
-
-    def test_shutdown_is_idempotent(self):
-        cache, managers = start_sharded_cache(2)
-        shutdown_cache_managers(managers)
-        shutdown_cache_managers(managers)  # second call must not raise
-
-
 def _require_processes(stream):
     if not stream.report.used_processes:
         stream.close()
@@ -333,20 +267,6 @@ class TestSupervisedRecovery:
         assert report.jobs_completed == len(seeds) - 1
         # The quarantined job is a hole, never an invention.
         assert finding_keys(report) <= serial_keys
-
-    def test_cache_manager_kill_degrades_not_fails(
-        self, erroneous_scenario, seeds, serial_keys
-    ):
-        stream = open_stream(
-            erroneous_scenario.provider, seeds,
-            chaos=get_chaos_plan("kill-cache-manager"),
-        )
-        _require_processes(stream)
-        report = stream.close()
-        assert report.jobs_completed == len(seeds)
-        assert report.cache_shards >= 1
-        assert report.degraded_shards == report.cache_shards
-        assert finding_keys(report) == serial_keys
 
     def test_kill_and_hang_acceptance(
         self, erroneous_scenario, seeds, serial_keys

@@ -7,6 +7,7 @@ seeds, and every tenant of a shared pool must see exactly the findings
 it would see running the pool alone.
 """
 
+import multiprocessing
 import time
 
 import pytest
@@ -16,8 +17,7 @@ from repro.bgp.messages import UpdateMessage
 from repro.bgp.nlri import NlriEntry
 from repro.concolic.engine import ExplorationBudget
 from repro.core import get_scenario
-from repro.parallel import StreamingExplorer
-from repro.parallel.cache import TenantCacheView
+from repro.parallel import StreamingExplorer, TenantCacheView
 from repro.parallel.chaos import get_chaos_plan
 from repro.parallel.stream import (
     PoolAutoscaler,
@@ -287,6 +287,31 @@ class TestElasticPool:
                  for event in report.resize_events]
         assert kinds == ["grow", "shrink", "retired"]
         assert report.worker_seconds > 0.0
+
+    def test_workers_are_the_only_child_processes(self, erroneous_scenario):
+        """``workers=N`` means N child processes: the pool starts no
+        process beside its workers, and ``close()`` leaves none behind."""
+        before = {p.pid for p in multiprocessing.active_children()}
+
+        def children():
+            return {p.pid for p in multiprocessing.active_children()} - before
+
+        stream = self._elastic([], min_workers=2, max_workers=3)
+        stream.start_nodes({"provider": erroneous_scenario.provider})
+        if stream.report.fallback_reason:
+            stream.close()
+            pytest.skip("process pool unavailable on this host")
+
+        def workers():
+            return {worker.process.pid for worker in stream._pool.workers}
+
+        assert len(workers()) == 2
+        assert children() == workers()
+        assert stream._pool.grow(time.monotonic())
+        assert len(workers()) == 3
+        assert children() == workers()
+        stream.close()
+        assert children() == set()
 
     def test_chaos_kill_during_grown_pool(self, erroneous_scenario):
         """kill-elastic-worker: the freshest (highest) slot dies mid-run."""

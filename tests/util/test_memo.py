@@ -19,7 +19,6 @@ from repro.bgp.config import parse_config_cached
 from repro.bgp.messages import NotificationMessage, decode_message
 from repro.concolic.solver.cache import DictConstraintCache, SemanticIndex
 from repro.core.privacy import origin_digest, prefix_digest
-from repro.parallel.cache import ShardedConstraintCache
 from repro.topology import AsGraph
 from repro.topology.graph import render_structured
 from repro.util.ip import Prefix
@@ -128,8 +127,6 @@ def exact_insert(cache):
 def test_constraint_tables_hold_their_bounds(monkeypatch):
     exact = DictConstraintCache()
     drive_past_bound(exact, exact_insert(exact), monkeypatch)
-    sharded = ShardedConstraintCache([{}])
-    drive_past_bound(sharded._local, exact_insert(sharded), monkeypatch)
     index = SemanticIndex()
     drive_past_bound(
         index._index,
